@@ -20,8 +20,6 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 void Rng::Reseed(uint64_t seed) {
@@ -32,22 +30,6 @@ void Rng::Reseed(uint64_t seed) {
 #ifndef NDEBUG
   owner_ = std::this_thread::get_id();
 #endif
-}
-
-uint64_t Rng::NextUint64() {
-  NDE_DCHECK(owner_ == std::this_thread::get_id())
-      << "Rng drawn from a thread other than its owner; Rng is "
-         "single-thread-owned — derive per-task streams via SeedSequence";
-  // xoshiro256** by Blackman & Vigna (public domain reference implementation).
-  const uint64_t result = RotL(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
 }
 
 double Rng::NextDouble() {

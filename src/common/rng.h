@@ -37,8 +37,24 @@ class Rng {
   /// thread ownership to the calling thread.
   void Reseed(uint64_t seed);
 
-  /// Uniform 64-bit value.
-  uint64_t NextUint64();
+  /// Uniform 64-bit value. Inline: the samplers draw one per unit per
+  /// coalition, so the call itself would otherwise dominate the draw.
+  uint64_t NextUint64() {
+    NDE_DCHECK(owner_ == std::this_thread::get_id())
+        << "Rng drawn from a thread other than its owner; Rng is "
+           "single-thread-owned — derive per-task streams via SeedSequence";
+    // xoshiro256** by Blackman & Vigna (public domain reference
+    // implementation).
+    const uint64_t result = RotL(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = RotL(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double NextDouble();
@@ -61,7 +77,9 @@ class Rng {
     return mean + stddev * NextGaussian();
   }
 
-  /// Bernoulli trial with success probability p in [0, 1].
+  /// Bernoulli trial with success probability p in [0, 1]. For p = 0.5 this
+  /// is exactly "top bit of NextUint64() clear": (x >> 11) * 2^-53 < 0.5
+  /// holds iff x < 2^63.
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
   /// Draws an index in [0, weights.size()) with probability proportional to
@@ -93,6 +111,10 @@ class Rng {
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
  private:
+  static uint64_t RotL(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

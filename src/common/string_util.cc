@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/check.h"
 
@@ -76,6 +79,28 @@ size_t EditDistance(std::string_view a, std::string_view b) {
     std::swap(prev, curr);
   }
   return prev[b.size()];
+}
+
+std::string FormatDoubleShortest(double value) {
+  char text[32];
+  if (!std::isnan(value)) {
+    // Significant digits of the shortest round-trip spelling ("d.ddde+XX";
+    // none for infinities).
+    std::to_chars_result shortest = std::to_chars(
+        text, text + sizeof(text), value, std::chars_format::scientific);
+    int digits = 0;
+    for (const char* p = text; p < shortest.ptr && *p != 'e'; ++p) {
+      digits += std::isdigit(static_cast<unsigned char>(*p)) ? 1 : 0;
+    }
+    // %.{digits}g can still miss at a binade edge, where the round-trip
+    // interval is lopsided; the loop then takes the next precision.
+    for (int precision = std::max(digits, 1); precision <= 17; ++precision) {
+      std::snprintf(text, sizeof(text), "%.*g", precision, value);
+      if (std::strtod(text, nullptr) == value) return text;
+    }
+  }
+  std::snprintf(text, sizeof(text), "%.17g", value);
+  return text;
 }
 
 std::string StrFormat(const char* format, ...) {

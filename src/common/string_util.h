@@ -28,6 +28,13 @@ std::string ToLowerAscii(std::string_view text);
 /// O(min(|a|,|b|)) space). Used by the fuzzy-join pipeline operator.
 size_t EditDistance(std::string_view a, std::string_view b);
 
+/// Shortest "%.{p}g" spelling (smallest p in 1..17) that strtod parses back
+/// to exactly `value`, so a reader of the text gets the same bits; NaN is
+/// spelled "%.17g". The search starts at the shortest round-trip digit count
+/// from std::to_chars — no smaller precision can round-trip — so it costs
+/// one or two tries instead of up to seventeen.
+std::string FormatDoubleShortest(double value);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...)
     __attribute__((format(printf, 1, 2)));

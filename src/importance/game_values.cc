@@ -1,6 +1,7 @@
 #include "importance/game_values.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <numeric>
@@ -34,6 +35,13 @@ double LogChoose(size_t n, size_t k) {
   return std::lgamma(static_cast<double>(n) + 1.0) -
          std::lgamma(static_cast<double>(k) + 1.0) -
          std::lgamma(static_cast<double>(n - k) + 1.0);
+}
+
+/// `value` when `in` is 1 and +0.0 when it is 0, without a branch (Banzhaf
+/// membership bits are coin flips, so a branch would mispredict half the
+/// time). Adding the +0.0 is exact for any sum that starts at +0.0.
+double MemberOrZero(uint64_t in, double value) {
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(value) & (0 - in));
 }
 
 /// Standard error of the mean of `m` samples with the given sum and sum of
@@ -538,16 +546,21 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
   // MSR: every sample updates every unit's in-mean or out-mean. Samples run
   // as fixed 16-sample chunks; sample t always draws from stream SeedFor(t)
   // and the convergence check sits at fixed 8-chunk wave boundaries, so both
-  // are thread-count invariant.
+  // are thread-count invariant. Inside a chunk each unit's membership is one
+  // bit per sample, and each unit's sums are folded once at chunk end,
+  // walking its samples in sample order (DESIGN.md §8: bit-identical to
+  // updating every unit on every sample).
   SeedSequence seeds(options.seed);
   constexpr size_t kChunkSamples = 16;
   constexpr size_t kWaveChunks = 8;
 
   struct ChunkPartial {
+    std::vector<uint16_t> member;  ///< Bit k: unit in sample k's coalition.
+    double value[kChunkSamples];   ///< Utility of each sample's coalition.
     std::vector<double> in_sum, in_sq, out_sum, out_sq;
-    std::vector<size_t> in_count, out_count;
     Status error;  ///< First evaluation failure inside this chunk.
   };
+  static_assert(kChunkSamples <= 16, "membership masks are 16 bits wide");
 
   std::vector<double> in_sum(n, 0.0), in_sq(n, 0.0);
   std::vector<double> out_sum(n, 0.0), out_sq(n, 0.0);
@@ -560,6 +573,15 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
   bool aborted = false;
   Status abort_cause;
   std::vector<ChunkPartial> wave(std::min(kWaveChunks, num_chunks));
+  // Workers overwrite every slot of their chunk's partial, so the buffers
+  // are sized once and reused by every wave.
+  for (auto& partial : wave) {
+    partial.member.resize(n);
+    partial.in_sum.resize(n);
+    partial.in_sq.resize(n);
+    partial.out_sum.resize(n);
+    partial.out_sq.resize(n);
+  }
 
   while (chunk_cursor < num_chunks) {
     if (CancelRequested(options)) {
@@ -572,15 +594,7 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
     telemetry::AllocationScope wave_alloc("banzhaf_wave");
     [[maybe_unused]] int64_t wave_start_us =
         telemetry::Enabled() ? telemetry::NowMicros() : 0;
-    for (auto& partial : wave) {
-      partial.in_sum.assign(n, 0.0);
-      partial.in_sq.assign(n, 0.0);
-      partial.out_sum.assign(n, 0.0);
-      partial.out_sq.assign(n, 0.0);
-      partial.in_count.assign(n, 0);
-      partial.out_count.assign(n, 0);
-      partial.error = Status::OK();
-    }
+    for (auto& partial : wave) partial.error = Status::OK();
     Result<size_t> used = TryParallelFor(
         wave_begin, wave_end,
         [&](size_t c) {
@@ -592,35 +606,48 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
           // Chunks are traced (not samples) so a large num_samples does not
           // flood the bounded trace buffer with per-sample events.
           NDE_TRACE_SPAN_VAR(batch_span, "banzhaf_sample_batch", "importance");
-          NDE_SPAN_ARG(batch_span, "samples",
-                       static_cast<int64_t>(sample_end - sample_begin));
+          const size_t samples = sample_end - sample_begin;
+          NDE_SPAN_ARG(batch_span, "samples", static_cast<int64_t>(samples));
+          uint16_t* member = out.member.data();
+          std::fill(member, member + n, uint16_t{0});
           std::vector<size_t> subset;
-          std::vector<bool> member(n);
-          for (size_t t = sample_begin; t < sample_end; ++t) {
-            Rng rng = seeds.RngFor(t);
-            subset.clear();
+          for (size_t k = 0; k < samples; ++k) {
+            Rng rng = seeds.RngFor(sample_begin + k);
+            subset.resize(n);
+            size_t size = 0;
             for (size_t i = 0; i < n; ++i) {
-              member[i] = rng.NextBernoulli(0.5);
-              if (member[i]) subset.push_back(i);
+              // NextBernoulli(0.5) without the branch: top bit clear.
+              subset[size] = i;
+              size += (rng.NextUint64() >> 63) ^ 1;
             }
+            subset.resize(size);
+            // A second pass over the members, not a second store in the
+            // draw loop: that loop stays one tight dependency chain.
+            for (size_t i : subset) member[i] |= static_cast<uint16_t>(1u << k);
             Result<double> evaluated =
                 EvaluateWithRetry(utility, subset, options);
             if (!evaluated.ok()) {
               out.error = evaluated.status();
               return;  // The whole chunk is discarded with its wave.
             }
-            double value = *evaluated;
-            for (size_t i = 0; i < n; ++i) {
-              if (member[i]) {
-                out.in_sum[i] += value;
-                out.in_sq[i] += value * value;
-                ++out.in_count[i];
-              } else {
-                out.out_sum[i] += value;
-                out.out_sq[i] += value * value;
-                ++out.out_count[i];
-              }
+            out.value[k] = *evaluated;
+          }
+          for (size_t i = 0; i < n; ++i) {
+            const uint64_t mask = member[i];
+            double in_sum = 0.0, in_sq = 0.0, out_sum = 0.0, out_sq = 0.0;
+            for (size_t k = 0; k < samples; ++k) {
+              const uint64_t in = (mask >> k) & 1;
+              const double value = out.value[k];
+              const double square = value * value;
+              in_sum += MemberOrZero(in, value);
+              in_sq += MemberOrZero(in, square);
+              out_sum += MemberOrZero(in ^ 1, value);
+              out_sq += MemberOrZero(in ^ 1, square);
             }
+            out.in_sum[i] = in_sum;
+            out.in_sq[i] = in_sq;
+            out.out_sum[i] = out_sum;
+            out.out_sq[i] = out_sq;
           }
         },
         options.num_threads, "banzhaf_wave");
@@ -647,17 +674,19 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
     // Deterministic reduction: fold chunk partials in index order.
     for (size_t c = wave_begin; c < wave_end; ++c) {
       const ChunkPartial& partial = wave[c - wave_begin];
+      const size_t samples =
+          std::min((c + 1) * kChunkSamples, options.num_samples) -
+          c * kChunkSamples;
       for (size_t i = 0; i < n; ++i) {
+        const size_t in = static_cast<size_t>(std::popcount(partial.member[i]));
         in_sum[i] += partial.in_sum[i];
         in_sq[i] += partial.in_sq[i];
         out_sum[i] += partial.out_sum[i];
         out_sq[i] += partial.out_sq[i];
-        in_count[i] += partial.in_count[i];
-        out_count[i] += partial.out_count[i];
+        in_count[i] += in;
+        out_count[i] += samples - in;
       }
-      executed_samples +=
-          std::min((c + 1) * kChunkSamples, options.num_samples) -
-          c * kChunkSamples;
+      executed_samples += samples;
     }
     chunk_cursor = wave_end;
 

@@ -31,6 +31,16 @@ int MlDatasetView::NumClasses() const {
   return max_label + 1;
 }
 
+Status MlDatasetView::Validate() const {
+  for (size_t i = 0; i < size(); ++i) {
+    if (label(i) < 0) {
+      return Status::InvalidArgument(
+          StrFormat("negative label %d at row %zu", label(i), i));
+    }
+  }
+  return Status::OK();
+}
+
 MlDataset MlDatasetView::Materialize() const {
   MlDataset out;
   out.features = parent_->features.SelectRows(

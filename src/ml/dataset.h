@@ -68,6 +68,10 @@ class MlDatasetView {
   /// Largest label in the view + 1 (0 for an empty view).
   int NumClasses() const;
 
+  /// Same status as Materialize().Validate(): labels non-negative (the row
+  /// count always matches), without copying the rows.
+  Status Validate() const;
+
   /// Copies the view into an owning dataset; equal to parent.Subset(indices).
   MlDataset Materialize() const;
 

@@ -13,7 +13,89 @@
 namespace nde {
 
 namespace {
+
 constexpr double kLogTwoPi = 1.8378770664093454835606594728112;
+
+/// Rows scored together by ScoreBlock.
+constexpr size_t kRowBlock = 8;
+
+/// A whole dataset seen through the row interface FitRows reads (the one
+/// MlDatasetView has).
+struct DatasetRows {
+  const MlDataset& data;
+  size_t size() const { return data.size(); }
+  size_t num_features() const { return data.num_features(); }
+  int NumClasses() const { return data.NumClasses(); }
+  const double* RowPtr(size_t i) const { return data.features.RowPtr(i); }
+  int label(size_t i) const { return data.labels[i]; }
+};
+
+/// Fitted parameters as flat class-major C x d arrays.
+struct NbParams {
+  const double* means;
+  const double* vars;      ///< Floored.
+  const double* log_vars;  ///< log of vars.
+  const double* log_priors;
+  size_t classes;
+  size_t d;
+};
+
+/// Copies rows [first, first + kRowBlock) of `features` into `xt`
+/// feature-major (xt[j * kRowBlock + b]). A short last block repeats its
+/// first row in the spare lanes, which are scored and then ignored.
+void TransposeBlock(const Matrix& features, size_t first, double* xt) {
+  const size_t rows = std::min(kRowBlock, features.rows() - first);
+  const size_t d = features.cols();
+  for (size_t b = 0; b < kRowBlock; ++b) {
+    const double* row = features.RowPtr(first + (b < rows ? b : 0));
+    for (size_t j = 0; j < d; ++j) xt[j * kRowBlock + b] = row[j];
+  }
+}
+
+/// Log joint density of each row of a transposed block under each class,
+/// into log_joint[c * kRowBlock + b]. Each value is the chain
+///   log_prior - 0.5 * (log 2pi + log var_j + diff_j^2 / var_j), j = 0..d-1,
+/// in feature order, exactly as a row-at-a-time loop computes it; the
+/// feature-major layout only makes the row loop contiguous, so it vectorizes.
+void ScoreBlock(const double* xt, const NbParams& p, double* log_joint) {
+  for (size_t c = 0; c < p.classes; ++c) {
+    const double* mean = p.means + c * p.d;
+    const double* var = p.vars + c * p.d;
+    const double* log_var = p.log_vars + c * p.d;
+    double acc[kRowBlock];
+    std::fill(acc, acc + kRowBlock, p.log_priors[c]);
+    for (size_t j = 0; j < p.d; ++j) {
+      const double* x = xt + j * kRowBlock;
+      const double mean_j = mean[j];
+      const double var_j = var[j];
+      const double log_var_j = log_var[j];
+      for (size_t b = 0; b < kRowBlock; ++b) {
+        double diff = x[b] - mean_j;
+        acc[b] -= 0.5 * (kLogTwoPi + log_var_j + diff * diff / var_j);
+      }
+    }
+    std::copy(acc, acc + kRowBlock, log_joint + c * kRowBlock);
+  }
+}
+
+/// Predicted class of each row of a scored block: the first class with the
+/// maximum log joint.
+void ArgmaxBlock(const double* log_joint, size_t classes, size_t rows,
+                 int* out) {
+  for (size_t b = 0; b < rows; ++b) {
+    int best = 0;
+    double best_acc = log_joint[b];
+    for (size_t c = 1; c < classes; ++c) {
+      double acc = log_joint[c * kRowBlock + b];
+      if (acc > best_acc) {
+        best = static_cast<int>(c);
+        best_acc = acc;
+      }
+    }
+    out[b] = best;
+  }
+}
+
 }  // namespace
 
 GaussianNaiveBayes::GaussianNaiveBayes(double var_smoothing)
@@ -28,78 +110,107 @@ Status GaussianNaiveBayes::Fit(const MlDataset& data) {
 Status GaussianNaiveBayes::FitWithClasses(const MlDataset& data,
                                           int num_classes) {
   NDE_RETURN_IF_ERROR(data.Validate());
-  if (data.size() == 0) {
+  return FitRows(DatasetRows{data}, num_classes);
+}
+
+Status GaussianNaiveBayes::FitView(const MlDatasetView& view,
+                                   int num_classes) {
+  NDE_RETURN_IF_ERROR(view.Validate());
+  return FitRows(view, num_classes);
+}
+
+template <typename Rows>
+Status GaussianNaiveBayes::FitRows(const Rows& rows, int num_classes) {
+  const size_t n = rows.size();
+  if (n == 0) {
     return Status::InvalidArgument("cannot fit naive Bayes on empty data");
   }
-  if (num_classes < data.NumClasses()) {
+  if (num_classes < rows.NumClasses()) {
     return Status::InvalidArgument("num_classes below max label");
   }
   num_classes_ = std::max(num_classes, 1);
-  size_t n = data.size();
-  size_t d = data.features.cols();
+  const size_t classes = static_cast<size_t>(num_classes_);
+  const size_t d = rows.num_features();
 
-  means_ = Matrix(static_cast<size_t>(num_classes_), d);
-  variances_ = Matrix(static_cast<size_t>(num_classes_), d);
-  std::vector<size_t> counts(static_cast<size_t>(num_classes_), 0);
+  means_ = Matrix(classes, d);
+  variances_ = Matrix(classes, d);
+  std::vector<size_t> counts(classes, 0);
+  double* means = means_.mutable_data().data();
+  double* vars = variances_.mutable_data().data();
 
   for (size_t i = 0; i < n; ++i) {
-    size_t c = static_cast<size_t>(data.labels[i]);
+    const size_t c = static_cast<size_t>(rows.label(i));
     ++counts[c];
-    const double* row = data.features.RowPtr(i);
-    for (size_t j = 0; j < d; ++j) means_(c, j) += row[j];
+    const double* row = rows.RowPtr(i);
+    double* mean = means + c * d;
+    for (size_t j = 0; j < d; ++j) mean[j] += row[j];
   }
-  for (size_t c = 0; c < static_cast<size_t>(num_classes_); ++c) {
+  size_t present = 0;
+  for (size_t c = 0; c < classes; ++c) {
     if (counts[c] == 0) continue;
+    ++present;
     for (size_t j = 0; j < d; ++j) {
-      means_(c, j) /= static_cast<double>(counts[c]);
+      means[c * d + j] /= static_cast<double>(counts[c]);
     }
   }
   for (size_t i = 0; i < n; ++i) {
-    size_t c = static_cast<size_t>(data.labels[i]);
-    const double* row = data.features.RowPtr(i);
+    const size_t c = static_cast<size_t>(rows.label(i));
+    const double* row = rows.RowPtr(i);
+    const double* mean = means + c * d;
+    double* var = vars + c * d;
     for (size_t j = 0; j < d; ++j) {
-      double diff = row[j] - means_(c, j);
-      variances_(c, j) += diff * diff;
+      double diff = row[j] - mean[j];
+      var[j] += diff * diff;
     }
   }
   // Global per-feature statistics: the fallback distribution for classes
   // absent from the training subset (a tiny prior times the global density,
-  // instead of a degenerate spike at zero).
-  std::vector<double> global_mean(d, 0.0);
-  std::vector<double> global_var(d, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const double* row = data.features.RowPtr(i);
-    for (size_t j = 0; j < d; ++j) global_mean[j] += row[j];
-  }
-  for (size_t j = 0; j < d; ++j) global_mean[j] /= static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double* row = data.features.RowPtr(i);
-    for (size_t j = 0; j < d; ++j) {
-      double diff = row[j] - global_mean[j];
-      global_var[j] += diff * diff;
+  // instead of a degenerate spike at zero). Only absent classes read them,
+  // so they are only computed when some class is absent.
+  std::vector<double> global_mean;
+  std::vector<double> global_var;
+  if (present < classes) {
+    global_mean.assign(d, 0.0);
+    global_var.assign(d, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = rows.RowPtr(i);
+      for (size_t j = 0; j < d; ++j) global_mean[j] += row[j];
     }
+    for (size_t j = 0; j < d; ++j) global_mean[j] /= static_cast<double>(n);
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = rows.RowPtr(i);
+      for (size_t j = 0; j < d; ++j) {
+        double diff = row[j] - global_mean[j];
+        global_var[j] += diff * diff;
+      }
+    }
+    for (size_t j = 0; j < d; ++j) global_var[j] /= static_cast<double>(n);
   }
-  for (size_t j = 0; j < d; ++j) global_var[j] /= static_cast<double>(n);
 
   double max_feature_var = 0.0;
-  for (size_t c = 0; c < static_cast<size_t>(num_classes_); ++c) {
+  for (size_t c = 0; c < classes; ++c) {
     for (size_t j = 0; j < d; ++j) {
       if (counts[c] > 0) {
-        variances_(c, j) /= static_cast<double>(counts[c]);
+        vars[c * d + j] /= static_cast<double>(counts[c]);
       } else {
-        means_(c, j) = global_mean[j];
-        variances_(c, j) = global_var[j];
+        means[c * d + j] = global_mean[j];
+        vars[c * d + j] = global_var[j];
       }
-      max_feature_var = std::max(max_feature_var, variances_(c, j));
+      max_feature_var = std::max(max_feature_var, vars[c * d + j]);
     }
   }
+  // The floored variances and their logs, once per (class, feature) here
+  // instead of once per (scored row, class, feature) in LogJoint.
   double floor = var_smoothing_ * std::max(max_feature_var, 1.0) + 1e-12;
-  for (size_t c = 0; c < static_cast<size_t>(num_classes_); ++c) {
-    for (size_t j = 0; j < d; ++j) variances_(c, j) += floor;
+  log_variances_ = Matrix(classes, d);
+  double* log_vars = log_variances_.mutable_data().data();
+  for (size_t k = 0; k < classes * d; ++k) {
+    vars[k] += floor;
+    log_vars[k] = std::log(vars[k]);
   }
 
-  log_priors_.assign(static_cast<size_t>(num_classes_), 0.0);
-  for (size_t c = 0; c < static_cast<size_t>(num_classes_); ++c) {
+  log_priors_.assign(classes, 0.0);
+  for (size_t c = 0; c < classes; ++c) {
     // Laplace-smoothed priors: classes absent from a subset get small but
     // non-zero prior instead of -inf.
     double prior = (static_cast<double>(counts[c]) + 1.0) /
@@ -110,39 +221,41 @@ Status GaussianNaiveBayes::FitWithClasses(const MlDataset& data,
   return Status::OK();
 }
 
-Matrix GaussianNaiveBayes::LogJoint(const Matrix& features) const {
+template <typename Visit>
+void GaussianNaiveBayes::ScoreRows(const Matrix& features,
+                                   Visit&& visit) const {
   NDE_CHECK(fitted_);
   NDE_CHECK_EQ(features.cols(), means_.cols());
-  size_t d = features.cols();
-  Matrix log_joint(features.rows(), static_cast<size_t>(num_classes_));
-  for (size_t r = 0; r < features.rows(); ++r) {
-    const double* row = features.RowPtr(r);
-    for (size_t c = 0; c < static_cast<size_t>(num_classes_); ++c) {
-      double acc = log_priors_[c];
-      for (size_t j = 0; j < d; ++j) {
-        double var = variances_(c, j);
-        double diff = row[j] - means_(c, j);
-        acc -= 0.5 * (kLogTwoPi + std::log(var) + diff * diff / var);
-      }
-      log_joint(r, c) = acc;
-    }
+  const NbParams params{means_.data().data(), variances_.data().data(),
+                        log_variances_.data().data(), log_priors_.data(),
+                        static_cast<size_t>(num_classes_), means_.cols()};
+  std::vector<double> xt(params.d * kRowBlock);
+  std::vector<double> log_joint(params.classes * kRowBlock);
+  for (size_t first = 0; first < features.rows(); first += kRowBlock) {
+    TransposeBlock(features, first, xt.data());
+    ScoreBlock(xt.data(), params, log_joint.data());
+    visit(first, std::min(kRowBlock, features.rows() - first),
+          static_cast<const double*>(log_joint.data()));
   }
+}
+
+Matrix GaussianNaiveBayes::LogJoint(const Matrix& features) const {
+  Matrix log_joint(features.rows(), static_cast<size_t>(num_classes_));
+  ScoreRows(features, [&](size_t first, size_t rows, const double* block) {
+    for (size_t b = 0; b < rows; ++b) {
+      for (size_t c = 0; c < log_joint.cols(); ++c) {
+        log_joint(first + b, c) = block[c * kRowBlock + b];
+      }
+    }
+  });
   return log_joint;
 }
 
 std::vector<int> GaussianNaiveBayes::Predict(const Matrix& features) const {
-  Matrix log_joint = LogJoint(features);
   std::vector<int> out(features.rows());
-  for (size_t r = 0; r < features.rows(); ++r) {
-    int best = 0;
-    for (int c = 1; c < num_classes_; ++c) {
-      if (log_joint(r, static_cast<size_t>(c)) >
-          log_joint(r, static_cast<size_t>(best))) {
-        best = c;
-      }
-    }
-    out[r] = best;
-  }
+  ScoreRows(features, [&](size_t first, size_t rows, const double* block) {
+    ArgmaxBlock(block, static_cast<size_t>(num_classes_), rows, &out[first]);
+  });
   return out;
 }
 
@@ -166,9 +279,8 @@ std::unique_ptr<Classifier> GaussianNaiveBayes::Clone() const {
 // the pushed class's mean/variance passes over its sorted list replays the
 // identical floating-point chain; untouched classes keep their previous —
 // likewise identical — values. Global fallback statistics are maintained the
-// same way, and only while some class is absent: once every class has a
-// member the cold fit still computes them but never reads them, so skipping
-// them is value-identical. max_feature_var is a max over a fixed set
+// same way, and only while some class is absent, exactly when the cold fit
+// computes them. max_feature_var is a max over a fixed set
 // (order-independent), and the floor, priors and LogJoint expressions are
 // replicated operation for operation. This is deliberately NOT a
 // Welford-style running update, which would change bits.
@@ -215,6 +327,7 @@ class NbCoalitionScorer final : public CoalitionScorer {
   double* var_cache_;       ///< C x d, floored (absent classes resolved).
   double* log_var_cache_;   ///< C x d, log of var_cache_.
   double* mean_cache_;      ///< C x d, absent classes resolved.
+  double* log_joint_;       ///< C x kRowBlock ScoreBlock output.
   uint32_t* members_;       ///< Sorted coalition, num_members_ entries.
   uint32_t* class_members_; ///< C x capacity, sorted per class.
   uint32_t* counts_;        ///< C.
@@ -236,6 +349,12 @@ class NbCoalitionContext final : public CoalitionScorerContext {
         var_smoothing_(var_smoothing) {
     NDE_CHECK_LT(train.size(), std::numeric_limits<uint32_t>::max());
     NDE_CHECK_EQ(train.features.cols(), eval_features.cols());
+    const size_t d = eval_features.cols();
+    eval_blocks_.resize((eval_features.rows() + kRowBlock - 1) / kRowBlock *
+                        d * kRowBlock);
+    for (size_t first = 0; first < eval_features.rows(); first += kRowBlock) {
+      TransposeBlock(eval_features, first, &eval_blocks_[first * d]);
+    }
   }
 
   std::unique_ptr<CoalitionScorer> NewScorer(Arena* arena) const override {
@@ -244,6 +363,11 @@ class NbCoalitionContext final : public CoalitionScorerContext {
 
   const Matrix& train_features() const { return *train_features_; }
   const Matrix& eval_features() const { return *eval_features_; }
+  /// The eval rows from `first` (a multiple of kRowBlock) as one
+  /// TransposeBlock block.
+  const double* eval_block(size_t first) const {
+    return eval_blocks_.data() + first * eval_features_->cols();
+  }
   int label(size_t i) const { return labels_[i]; }
   size_t train_size() const { return labels_.size(); }
   int num_classes() const { return num_classes_; }
@@ -252,6 +376,7 @@ class NbCoalitionContext final : public CoalitionScorerContext {
  private:
   const Matrix* train_features_;  ///< Borrowed; caller keeps it alive.
   const Matrix* eval_features_;   ///< Borrowed; caller keeps it alive.
+  std::vector<double> eval_blocks_;  ///< eval_features_, TransposeBlock'ed.
   std::vector<int> labels_;
   int num_classes_;
   double var_smoothing_;
@@ -266,7 +391,7 @@ NbCoalitionScorer::NbCoalitionScorer(const NbCoalitionContext* context,
       predictions_(context->eval_features().rows(), 0) {
   const size_t classes = static_cast<size_t>(num_classes_);
   const size_t stats = classes * d_;
-  const size_t doubles = 5 * stats + 2 * d_ + classes;
+  const size_t doubles = 5 * stats + 2 * d_ + classes + classes * kRowBlock;
   const size_t uints = capacity_ + classes * capacity_ + classes;
   const size_t total = doubles * sizeof(double) + uints * sizeof(uint32_t);
   char* block;
@@ -285,7 +410,9 @@ NbCoalitionScorer::NbCoalitionScorer(const NbCoalitionContext* context,
   var_cache_ = log_priors_ + classes;
   log_var_cache_ = var_cache_ + stats;
   mean_cache_ = log_var_cache_ + stats;
-  uint32_t* u32 = reinterpret_cast<uint32_t*>(mean_cache_ + stats);
+  log_joint_ = mean_cache_ + stats;
+  uint32_t* u32 =
+      reinterpret_cast<uint32_t*>(log_joint_ + classes * kRowBlock);
   members_ = u32;
   class_members_ = members_ + capacity_;
   counts_ = class_members_ + classes * capacity_;
@@ -324,8 +451,8 @@ void NbCoalitionScorer::Add(size_t train_index) {
   }
   for (size_t j = 0; j < d_; ++j) var[j] /= static_cast<double>(count);
 
-  // Global fallback moments: only read by the cold fit while some class is
-  // absent, so they are only maintained while some class is absent.
+  // Global fallback moments: like the cold fit, only while some class is
+  // absent.
   if (present_classes_ < num_classes_) {
     std::fill(global_mean_, global_mean_ + d_, 0.0);
     std::fill(global_var_, global_var_ + d_, 0.0);
@@ -363,9 +490,8 @@ void NbCoalitionScorer::RefreshDerived() {
   }
   const double floor =
       context_->var_smoothing() * std::max(max_feature_var, 1.0) + 1e-12;
-  // Floored variances and their logs, one per (class, feature) per Push
-  // instead of one per (eval row, class, feature): the cached doubles are
-  // the exact values the cold LogJoint computes inline.
+  // Floored variances and their logs, one per (class, feature) per Push:
+  // the same doubles the cold fit caches.
   for (size_t c = 0; c < classes; ++c) {
     const bool present = counts_[c] > 0;
     const double* var = present ? vars_ + c * d_ : global_var_;
@@ -388,29 +514,14 @@ void NbCoalitionScorer::RefreshDerived() {
 const std::vector<int>& NbCoalitionScorer::Predict() {
   NDE_CHECK_GT(num_members_, 0u);
   if (derived_dirty_) RefreshDerived();
-  const Matrix& eval = context_->eval_features();
-  const size_t m = eval.rows();
-  const size_t classes = static_cast<size_t>(num_classes_);
-  for (size_t r = 0; r < m; ++r) {
-    const double* row = eval.RowPtr(r);
-    int best = 0;
-    double best_acc = 0.0;
-    for (size_t c = 0; c < classes; ++c) {
-      // The cold LogJoint chain, operation for operation.
-      double acc = log_priors_[c];
-      const double* mean = mean_cache_ + c * d_;
-      const double* var = var_cache_ + c * d_;
-      const double* log_var = log_var_cache_ + c * d_;
-      for (size_t j = 0; j < d_; ++j) {
-        double diff = row[j] - mean[j];
-        acc -= 0.5 * (kLogTwoPi + log_var[j] + diff * diff / var[j]);
-      }
-      if (c == 0 || acc > best_acc) {
-        best = static_cast<int>(c);
-        best_acc = acc;
-      }
-    }
-    predictions_[r] = best;
+  // The cold Predict kernel over the context's pre-transposed eval blocks.
+  const NbParams params{mean_cache_, var_cache_, log_var_cache_, log_priors_,
+                        static_cast<size_t>(num_classes_), d_};
+  const size_t m = predictions_.size();
+  for (size_t first = 0; first < m; first += kRowBlock) {
+    ScoreBlock(context_->eval_block(first), params, log_joint_);
+    ArgmaxBlock(log_joint_, params.classes, std::min(kRowBlock, m - first),
+                &predictions_[first]);
   }
   return predictions_;
 }

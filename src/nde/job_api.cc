@@ -41,17 +41,6 @@ using telemetry::HttpRequest;
 using telemetry::JsonEscape;
 using telemetry::MakeHttpResponse;
 
-/// Shortest decimal spelling that strtod parses back to exactly `value`, so
-/// a client reading job values gets the same bits the estimator produced
-/// (the CLI-vs-API determinism test relies on this).
-std::string FormatDouble(double value) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::string text = StrFormat("%.*g", precision, value);
-    if (std::strtod(text.c_str(), nullptr) == value) return text;
-  }
-  return StrFormat("%.17g", value);
-}
-
 std::string ErrorJson(const Status& status) {
   return std::string("{\"error\":{\"code\":\"") +
          StatusCodeToString(status.code()) + "\",\"message\":\"" +
@@ -122,11 +111,14 @@ Result<JobRequest> ParseJobRequest(const std::string& body) {
   return request;
 }
 
+/// Shortest round-trip spellings, so a client reading job values gets the
+/// same bits the estimator produced (the CLI-vs-API determinism test relies
+/// on this).
 void AppendDoubles(std::ostringstream& os, const std::vector<double>& values) {
   os << "[";
   for (size_t i = 0; i < values.size(); ++i) {
     if (i > 0) os << ",";
-    os << FormatDouble(values[i]);
+    os << FormatDoubleShortest(values[i]);
   }
   os << "]";
 }
@@ -185,7 +177,8 @@ std::string EventsJson(const JobSnapshot& snapshot) {
        << ",\"dur_us\":" << event.dur_us
        << ",\"completed\":" << event.completed << ",\"total\":" << event.total
        << ",\"utility_evaluations\":" << event.utility_evaluations
-       << ",\"max_std_error\":" << FormatDouble(event.max_std_error) << "}";
+       << ",\"max_std_error\":"
+       << FormatDoubleShortest(event.max_std_error) << "}";
   }
   os << "]}";
   return os.str();
@@ -364,6 +357,9 @@ Status JobManager::RunJob(Job* job) {
     Result<Table> table = job->request.csv_path.empty()
                               ? ReadCsvString(job->request.csv_data)
                               : ReadCsvFile(job->request.csv_path);
+    // The inline CSV is only read here; a finished job keeps its parsed
+    // results, not its input bytes.
+    std::string().swap(job->request.csv_data);
     NDE_RETURN_IF_ERROR(table.status());
     NDE_ASSIGN_OR_RETURN(
         std::unique_ptr<AlgorithmInstance> algorithm,

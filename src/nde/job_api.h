@@ -68,7 +68,9 @@ struct JobRequest {
   std::string algorithm;  ///< registry name, e.g. "tmc_shapley"
   std::string label;      ///< label column of the CSV
   std::string csv_path;   ///< server-side CSV file to load...
-  std::string csv_data;   ///< ...or inline CSV text (exactly one of the two)
+  /// ...or inline CSV text (exactly one of the two). A job releases its
+  /// copy once the table is parsed.
+  std::string csv_data;
   std::map<std::string, std::string> options;  ///< registry Configure pairs
 };
 

@@ -35,16 +35,6 @@ const char* OptionTypeName(OptionType type) {
 
 namespace {
 
-/// Shortest decimal spelling that strtod parses back to exactly `value`, so
-/// GetOption/Describe round-trip through Configure bit-identically.
-std::string FormatDouble(double value) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::string text = StrFormat("%.*g", precision, value);
-    if (std::strtod(text.c_str(), nullptr) == value) return text;
-  }
-  return StrFormat("%.17g", value);
-}
-
 Result<bool> ParseBool(const std::string& value) {
   if (value == "true" || value == "1") return true;
   if (value == "false" || value == "0") return false;
@@ -214,12 +204,13 @@ void AlgorithmInstance::BindDouble(const std::string& name,
           return Status::InvalidArgument(
               StrFormat("must be %s %s, got '%s'",
                         exclusive_min ? "greater than" : "at least",
-                        FormatDouble(min_value).c_str(), value.c_str()));
+                        FormatDoubleShortest(min_value).c_str(),
+                        value.c_str()));
         }
         *target = parsed;
         return Status::OK();
       },
-      [target]() -> std::string { return FormatDouble(*target); });
+      [target]() -> std::string { return FormatDoubleShortest(*target); });
 }
 
 void AlgorithmInstance::BindEstimatorOptions(EstimatorOptions* options) {

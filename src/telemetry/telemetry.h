@@ -44,12 +44,20 @@
 /// expression is not evaluated when telemetry is compiled out.
 #define NDE_SPAN_ARG(var, key, value) (var).AddArg(key, value)
 
+// The metric macros resolve their metric through the registry once per call
+// site, into a function-local static reference, so a hit is one relaxed load
+// of the runtime gate plus a lock-free update — no registry mutex or name
+// lookup on per-evaluation paths. This is safe because the global registry is
+// never destroyed and MetricsRegistry::Reset zeroes metrics in place. Hence
+// `name` must be the same at every execution of a site (a string literal).
+
 /// Increments the named global counter by `delta`.
 #define NDE_METRIC_COUNT(name, delta)                                        \
   do {                                                                       \
     if (::nde::telemetry::Enabled()) {                                       \
-      ::nde::telemetry::MetricsRegistry::Global().GetCounter(name)           \
-          .Increment(static_cast<uint64_t>(delta));                          \
+      static ::nde::telemetry::Counter& nde_site_counter =                   \
+          ::nde::telemetry::MetricsRegistry::Global().GetCounter(name);      \
+      nde_site_counter.Increment(static_cast<uint64_t>(delta));              \
     }                                                                        \
   } while (0)
 
@@ -57,8 +65,9 @@
 #define NDE_METRIC_GAUGE_SET(name, value)                                  \
   do {                                                                     \
     if (::nde::telemetry::Enabled()) {                                     \
-      ::nde::telemetry::MetricsRegistry::Global().GetGauge(name).Set(      \
-          static_cast<double>(value));                                     \
+      static ::nde::telemetry::Gauge& nde_site_gauge =                     \
+          ::nde::telemetry::MetricsRegistry::Global().GetGauge(name);      \
+      nde_site_gauge.Set(static_cast<double>(value));                      \
     }                                                                      \
   } while (0)
 
@@ -66,8 +75,9 @@
 #define NDE_METRIC_RECORD(name, value)                                     \
   do {                                                                     \
     if (::nde::telemetry::Enabled()) {                                     \
-      ::nde::telemetry::MetricsRegistry::Global().GetHistogram(name)       \
-          .Record(static_cast<double>(value));                             \
+      static ::nde::telemetry::Histogram& nde_site_histogram =             \
+          ::nde::telemetry::MetricsRegistry::Global().GetHistogram(name);  \
+      nde_site_histogram.Record(static_cast<double>(value));               \
     }                                                                      \
   } while (0)
 

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <numeric>
@@ -21,6 +22,7 @@
 #include "importance/utility.h"
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
+#include "ml/naive_bayes.h"
 #include "proptest/check.h"
 #include "proptest/gen.h"
 
@@ -828,6 +830,107 @@ TEST(BanzhafMsrTest, UtilityFaultAborts) {
   Result<ImportanceEstimate> estimate = BanzhafValues(game, options);
   ASSERT_FALSE(estimate.ok());
   EXPECT_EQ(estimate.status().code(), StatusCode::kInternal);
+}
+
+// --- Banzhaf on the Gaussian-NB retrain path: pinned bits -------------------
+//
+// Every Banzhaf sample retrains Gaussian NB from scratch on its coalition
+// (FitView), so these hashes pin the whole retrain path: the coalition draw,
+// the moment fit, the log-joint scorer and the per-unit in/out fold. The
+// constants are the results of a plain per-sample, per-unit implementation;
+// any change to them is a change of results, not a refactor.
+
+uint64_t HashEstimate(const ImportanceEstimate& estimate) {
+  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the value bit patterns.
+  auto mix = [&h](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (double v : estimate.values) mix(std::bit_cast<uint64_t>(v));
+  for (double v : estimate.std_errors) mix(std::bit_cast<uint64_t>(v));
+  mix(estimate.utility_evaluations);
+  return h;
+}
+
+/// `train_rows` three-class blob rows (small sizes leave classes absent from
+/// many coalitions, exercising the fallback moments) scored on 30 rows.
+ModelAccuracyUtility NbGoldenUtility(size_t train_rows) {
+  BlobsOptions options;
+  options.num_examples = train_rows;
+  options.num_features = 4;
+  options.num_classes = 3;
+  options.separation = 1.5;
+  options.seed = 71;
+  options.center_seed = 70;
+  MlDataset train = MakeBlobs(options);
+  options.num_examples = 30;
+  options.seed = 72;
+  MlDataset validation = MakeBlobs(options);
+  return ModelAccuracyUtility(
+      [] { return std::make_unique<GaussianNaiveBayes>(); }, std::move(train),
+      std::move(validation));
+}
+
+TEST(BanzhafNbGoldenTest, ValuesMatchPinnedBitsAtOneAndFourThreads) {
+  struct Case {
+    size_t train_rows;
+    uint64_t seed;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {10, 5, 0x029b465f64907709ULL},
+      {40, 5, 0xb169676fb2febb71ULL},
+      {40, 9, 0x9f3fb5087f449538ULL},
+  };
+  for (const Case& c : cases) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ModelAccuracyUtility utility = NbGoldenUtility(c.train_rows);
+      BanzhafOptions options;
+      options.num_samples = 300;  // Two full waves plus a partial chunk.
+      options.seed = c.seed;
+      options.num_threads = threads;
+      ImportanceEstimate estimate = BanzhafValues(utility, options).value();
+      EXPECT_EQ(HashEstimate(estimate), c.hash)
+          << "rows=" << c.train_rows << " seed=" << c.seed
+          << " threads=" << threads << " hash=0x" << std::hex
+          << HashEstimate(estimate);
+    }
+  }
+}
+
+TEST(BanzhafNbGoldenTest, AbortedWaveKeepsPinnedPartialBits) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    FailpointGuard guard;
+    // Hit 200 lands in the second 128-sample wave, which is discarded whole:
+    // the partial estimate is the first wave's.
+    ASSERT_TRUE(
+        failpoint::Arm("utility.evaluate=error(internal:golden)#200").ok());
+    ModelAccuracyUtility utility = NbGoldenUtility(40);
+    BanzhafOptions options;
+    options.num_samples = 300;
+    options.seed = 5;
+    options.num_threads = threads;
+    options.max_retries = 0;
+    ImportanceEstimate estimate = BanzhafValues(utility, options).value();
+    EXPECT_TRUE(estimate.aborted_early);
+    EXPECT_EQ(estimate.abort_cause.code(), StatusCode::kInternal);
+    EXPECT_EQ(estimate.utility_evaluations, 128u);
+    EXPECT_EQ(HashEstimate(estimate), 0xd6372347fa1141a5ULL)
+        << "threads=" << threads << " hash=0x" << std::hex
+        << HashEstimate(estimate);
+  }
+}
+
+TEST(BanzhafNbGoldenTest, LeaveOneOutMatchesPinnedBits) {
+  ModelAccuracyUtility utility = NbGoldenUtility(40);
+  EstimatorOptions options;
+  options.num_threads = 4;
+  ImportanceEstimate estimate;
+  estimate.values = LeaveOneOutValues(utility, options).value();
+  EXPECT_EQ(HashEstimate(estimate), 0x7b157182d59d2a2aULL)
+      << "hash=0x" << std::hex << HashEstimate(estimate);
 }
 
 TEST(BetaShapleyTest, UtilityFaultAborts) {

@@ -332,6 +332,42 @@ TEST(JobApiHttpTest, PostPollFetchLifecycle) {
   EXPECT_EQ(Body(list).find("\"values\""), std::string::npos);
 }
 
+TEST(JobApiHttpTest, DoneJobServesFullResultAfterReleasingItsCsv) {
+  // A job drops its inline CSV once parsed; everything a client reads from
+  // a finished job must come from the parsed results alone.
+  JobManager manager;
+  std::string id = manager.Submit(QuickRequest()).value();
+  JobSnapshot done = AwaitDone(manager, id);
+  ASSERT_EQ(done.state, JobState::kDone);
+
+  std::string poll = manager.HandleHttp(Request("GET", "/jobs/" + id));
+  ASSERT_NE(StatusLine(poll).find("200"), std::string::npos) << poll;
+  json::Value snapshot = json::Parse(Body(poll)).value();
+  EXPECT_EQ(snapshot.Find("state")->as_string(), "done");
+  const json::Value* result = snapshot.Find("result");
+  ASSERT_NE(result, nullptr);
+  const auto& values = result->Find("values")->items();
+  ASSERT_EQ(values.size(), done.estimate.values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(values[i].as_number(), done.estimate.values[i]) << i;
+  }
+  const auto& ranked = result->Find("ranked_rows")->items();
+  ASSERT_EQ(ranked.size(), done.ranked_rows.size());
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    EXPECT_EQ(ranked[i].as_number(), static_cast<double>(done.ranked_rows[i]));
+  }
+  EXPECT_EQ(result->Find("train_rows")->as_number(), 16.0);
+
+  std::vector<JobSnapshot> listed = manager.List();
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0].id, id);
+  EXPECT_EQ(listed[0].state, JobState::kDone);
+  EXPECT_EQ(listed[0].estimate.values, done.estimate.values);
+  EXPECT_EQ(listed[0].ranked_rows, done.ranked_rows);
+  std::string list = manager.HandleHttp(Request("GET", "/jobs"));
+  EXPECT_NE(Body(list).find(id), std::string::npos);
+}
+
 TEST(JobApiHttpTest, BadRequestsGetStructuredErrors) {
   JobManager manager;
 

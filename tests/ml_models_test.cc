@@ -1,5 +1,7 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -440,6 +442,80 @@ TEST(FitViewTest, KnnViewPredictionsMatchMaterializedFit) {
   ASSERT_TRUE(from_copy.FitWithClasses(data.Subset(subset), 2).ok());
 
   EXPECT_EQ(from_view.Predict(eval.features), from_copy.Predict(eval.features));
+}
+
+/// Fits Gaussian NB through FitView and through FitWithClasses on the
+/// materialized view, then requires bit-identical Predict and PredictProba.
+void ExpectNbViewMatchesMaterialized(const MlDataset& data,
+                                     const std::vector<size_t>& indices,
+                                     int num_classes, const Matrix& eval) {
+  MlDatasetView view(data, indices);
+  GaussianNaiveBayes from_view;
+  ASSERT_TRUE(from_view.FitView(view, num_classes).ok());
+  GaussianNaiveBayes from_copy;
+  ASSERT_TRUE(from_copy.FitWithClasses(view.Materialize(), num_classes).ok());
+
+  EXPECT_EQ(from_view.Predict(eval), from_copy.Predict(eval));
+  Matrix view_proba = from_view.PredictProba(eval);
+  Matrix copy_proba = from_copy.PredictProba(eval);
+  ASSERT_EQ(view_proba.data().size(), copy_proba.data().size());
+  for (size_t k = 0; k < view_proba.data().size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(view_proba.data()[k]),
+              std::bit_cast<uint64_t>(copy_proba.data()[k]))
+        << "proba entry " << k;
+  }
+}
+
+TEST(FitViewTest, GaussianNbViewMatchesMaterializedFitBitForBit) {
+  BlobsOptions options;
+  options.num_examples = 60;
+  options.num_features = 5;
+  options.num_classes = 3;
+  options.separation = 1.5;
+  options.seed = 21;
+  options.center_seed = 20;
+  MlDataset data = MakeBlobs(options);
+  options.num_examples = 25;
+  options.seed = 22;
+  Matrix eval = MakeBlobs(options).features;
+
+  // Sorted, unsorted and repeated indices; a single row.
+  ExpectNbViewMatchesMaterialized(data, {0, 4, 9, 13, 22, 31, 40, 58}, 3, eval);
+  ExpectNbViewMatchesMaterialized(data, {58, 3, 17, 3, 40, 0, 26, 17, 9}, 3,
+                                  eval);
+  ExpectNbViewMatchesMaterialized(data, {33}, 3, eval);
+  // A coalition missing a class takes the global fallback moments; an extra
+  // class beyond the labels present is absent too.
+  std::vector<size_t> two_classes;
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (data.labels[i] != 1) two_classes.push_back(i);
+  }
+  ExpectNbViewMatchesMaterialized(data, two_classes, 3, eval);
+  ExpectNbViewMatchesMaterialized(data, {5, 11, 12, 30}, 4, eval);
+}
+
+TEST(FitViewTest, GaussianNbViewRejectsLikeMaterializedFit) {
+  MlDataset data = EasyBinaryBlobs(12, 10);
+  data.labels[4] = -1;
+  for (const std::vector<size_t>& indices :
+       {std::vector<size_t>{2, 4, 6}, std::vector<size_t>{},
+        std::vector<size_t>{1, 3}}) {
+    MlDatasetView view(data, indices);
+    // num_classes 1 is below the max label whenever a 1 is present.
+    for (int num_classes : {1, 2}) {
+      GaussianNaiveBayes from_view;
+      GaussianNaiveBayes from_copy;
+      Status by_view = from_view.FitView(view, num_classes);
+      Status by_copy =
+          from_copy.FitWithClasses(view.Materialize(), num_classes);
+      EXPECT_EQ(by_view.code(), by_copy.code());
+      EXPECT_EQ(by_view.message(), by_copy.message());
+    }
+  }
+  GaussianNaiveBayes model;
+  std::vector<size_t> negative = {2, 4, 6};
+  EXPECT_EQ(model.FitView(MlDatasetView(data, negative), 2).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(FitViewTest, EmptyViewIsRejected) {

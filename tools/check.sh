@@ -26,12 +26,14 @@
 #                                      # regression
 #                                      # (default build dir: build-bench)
 #   tools/check.sh --kernel-smoke [build-dir]
-#                                      # ASan+UBSan build of nde_cli; runs one
-#                                      # KNN and one Gaussian-NB importance
-#                                      # job with the prefix-scan kernels on
-#                                      # vs off (and SoA/arena off) and
-#                                      # requires identical rankings — the
-#                                      # end-to-end bit-identity cross-check,
+#                                      # ASan+UBSan build of nde_cli; runs the
+#                                      # Gaussian-NB FitView and Banzhaf
+#                                      # golden tests, then one KNN and one
+#                                      # Gaussian-NB importance job with the
+#                                      # prefix-scan kernels on vs off (and
+#                                      # SoA/arena off) and requires
+#                                      # identical rankings — the end-to-end
+#                                      # bit-identity cross-check,
 #                                      # sanitizer-clean
 #                                      # (default build dir: build-kernel)
 #   tools/check.sh --serve-smoke [build-dir]
@@ -214,8 +216,14 @@ if [ "$MODE" = "kernel" ]; then
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target nde_cli
+  cmake --build "$BUILD_DIR" -j "$(nproc)" \
+    --target nde_cli ml_models_test importance_test
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
+
+  # The retrain path's raw-pointer loops: Gaussian-NB FitView against the
+  # materialized fit, and the Banzhaf chunk fold against pinned bits.
+  "$BUILD_DIR/tests/ml_models_test" --gtest_filter='FitViewTest.GaussianNb*'
+  "$BUILD_DIR/tests/importance_test" --gtest_filter='BanzhafNbGoldenTest.*'
 
   WORKDIR="$(mktemp -d)"
   trap 'rm -rf "$WORKDIR"' EXIT
@@ -255,7 +263,7 @@ EOF
   diff -u "$WORKDIR/nb_slow.txt" "$WORKDIR/nb_kernel.txt" \
     || { echo "check.sh: NB kernel ranking differs from slow path" >&2; exit 1; }
 
-  echo "check.sh: kernel smoke passed (KNN SoA/arena and NB scan rankings match the slow path under ASan+UBSan)"
+  echo "check.sh: kernel smoke passed (KNN SoA/arena and NB scan rankings match the slow path, NB FitView and Banzhaf golden tests pass, under ASan+UBSan)"
   exit 0
 fi
 
