@@ -63,8 +63,10 @@ struct EstimatorOptions {
   /// this flag at fixed wave boundaries and stop with abort_cause
   /// StatusCode::kCancelled. Completed waves are kept, so a cancelled run's
   /// partial estimate is bit-identical to a clean smaller-budget run (the
-  /// same contract fault aborts follow, DESIGN.md §11); the serving layer's
-  /// DELETE /jobs/<id> raises it. The flag must outlive the estimator call.
+  /// same contract fault aborts follow, DESIGN.md §11); LOO and KNN-Shapley,
+  /// which have no partial result, return the cause as their Status. The
+  /// serving layer's DELETE /jobs/<id> raises it. The flag must outlive the
+  /// estimator call.
   const std::atomic<bool>* cancel = nullptr;
 };
 

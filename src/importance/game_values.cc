@@ -11,6 +11,7 @@
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
+#include "importance/waves.h"
 #include "telemetry/health.h"
 #include "telemetry/metrics.h"
 #include "telemetry/profiler.h"
@@ -53,21 +54,12 @@ double MeanStdError(double sum, double sum_sq, double m) {
   return std::sqrt(std::max(variance, 0.0) / m);
 }
 
-/// True when the caller raised the cooperative-cancellation flag. Checked on
-/// the coordinating thread at wave boundaries only, so cancellation composes
-/// with the determinism contract exactly like a fault abort: completed waves
-/// are kept, the cancelled run equals a clean smaller-budget run.
-bool CancelRequested(const EstimatorOptions& options) {
-  return options.cancel != nullptr &&
-         options.cancel->load(std::memory_order_relaxed);
-}
-
-/// Per-job labeled twins of NDE_METRIC_COUNT / NDE_METRIC_RECORD: under a
-/// job's TraceContext the sample lands in both the base metric and the
-/// job-labeled series, so /metrics breaks the value out per job; outside a
-/// job (CLI, tests) only the base metric moves and output is unchanged.
-/// Called at wave boundaries, retry slow paths, and run ends — never per
-/// utility evaluation — so the per-call registry lookup is irrelevant.
+/// Per-job labeled twin of NDE_METRIC_COUNT: under a job's TraceContext the
+/// count lands in both the base counter and the job-labeled series, so
+/// /metrics breaks the value out per job; outside a job (CLI, tests) only the
+/// base counter moves and output is unchanged. Called on retry slow paths
+/// and at run ends — never per utility evaluation — so the per-call registry
+/// lookup is irrelevant.
 void CountForJob(const char* name, uint64_t delta) {
   if (!telemetry::Enabled()) return;
   telemetry::MetricsRegistry::Global()
@@ -75,17 +67,25 @@ void CountForJob(const char* name, uint64_t delta) {
       .Increment(delta);
 }
 
-void RecordMsForJob(const char* name, double ms) {
-  if (!telemetry::Enabled()) return;
-  telemetry::MetricsRegistry::Global()
-      .GetHistogramWithLabels(name, telemetry::CurrentJobLabels())
-      .Record(ms);
+/// The one retry policy, before retry `attempt` (1-based) of a failed
+/// evaluation: counts it toward the job-labeled `estimator.retries`, then
+/// sleeps retry_backoff_ms doubled per attempt, capped at 10x the base.
+void BackOffBeforeRetry(size_t attempt, const EstimatorOptions& options) {
+  CountForJob("estimator.retries", 1);
+  // Past 4 doublings (16x) the cap always binds; clamping the shift keeps
+  // large retry budgets from shifting out of range.
+  uint64_t delay_ms = static_cast<uint64_t>(options.retry_backoff_ms)
+                      << std::min<size_t>(attempt - 1, 4);
+  delay_ms =
+      std::min<uint64_t>(delay_ms, uint64_t{10} * options.retry_backoff_ms);
+  if (delay_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+  }
 }
 
 /// One utility evaluation with bounded retry. Retries only *retryable*
-/// failures (unavailable / resource_exhausted — a transient backend), with
-/// capped exponential backoff: retry_backoff_ms, doubled per attempt, capped
-/// at 10x the base. Non-finite values are data corruption and fail
+/// failures (unavailable / resource_exhausted — a transient backend), backing
+/// off per BackOffBeforeRetry. Non-finite values are data corruption and fail
 /// immediately — the utility is deterministic, so retrying would return the
 /// same poison. Passing the attempt number as the TryEvaluate salt re-rolls
 /// an injected probabilistic fault deterministically, so a flaky-backend
@@ -95,16 +95,7 @@ Result<double> EvaluateWithRetry(const UtilityFunction& utility,
                                  const EstimatorOptions& options) {
   Status last;
   for (size_t attempt = 0; attempt <= options.max_retries; ++attempt) {
-    if (attempt > 0) {
-      CountForJob("estimator.retries", 1);
-      uint64_t delay_ms = static_cast<uint64_t>(options.retry_backoff_ms)
-                          << (attempt - 1);
-      delay_ms = std::min<uint64_t>(
-          delay_ms, uint64_t{10} * options.retry_backoff_ms);
-      if (delay_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-      }
-    }
+    if (attempt > 0) BackOffBeforeRetry(attempt, options);
     Result<double> value = utility.TryEvaluate(subset, attempt);
     if (value.ok()) {
       if (!std::isfinite(*value)) {
@@ -151,69 +142,41 @@ Result<std::vector<double>> LeaveOneOutValues(const UtilityFunction& utility,
   std::iota(all.begin(), all.end(), size_t{0});
   NDE_ASSIGN_OR_RETURN(double full, EvaluateWithRetry(utility, all, options));
   std::vector<double> values(n);
-  // LOO has no sampling budget to shrink, so a failed unit has no meaningful
-  // partial result: the first evaluation error (in unit order) is returned as
-  // the call's Status.
-  std::vector<Status> errors(n);
   // One task per unit, writing into its own slot: no randomness and no shared
   // accumulator, so results are identical for any thread count. Units run in
-  // fixed 64-unit waves purely so progress can be reported at deterministic
-  // boundaries; the per-unit work is unchanged.
-  constexpr size_t kWaveUnits = 64;
+  // fixed 64-unit waves purely so progress and cancellation happen at
+  // deterministic boundaries.
   NDE_LOG(DEBUG) << "leave_one_out: " << n << " units";
-  for (size_t wave_begin = 0; wave_begin < n; wave_begin += kWaveUnits) {
-    // LOO has no partial-result notion (see the error comment above), so a
-    // cancelled run surfaces as a plain Status rather than a partial vector.
-    if (CancelRequested(options)) {
-      return Status::Cancelled("leave_one_out cancelled");
-    }
-    size_t wave_end = std::min(wave_begin + kWaveUnits, n);
-    // Wave-phase observability: latency into the shared estimator histogram,
-    // allocations attributed to this phase (coordinator side; workers tag
-    // their own scopes inside the task). Purely observational.
-    telemetry::AllocationScope wave_alloc("loo_wave");
-    [[maybe_unused]] int64_t wave_start_us =
-        telemetry::Enabled() ? telemetry::NowMicros() : 0;
-    NDE_ASSIGN_OR_RETURN(
-        size_t used,
-        TryParallelFor(
-            wave_begin, wave_end,
-            [&](size_t i) {
-              telemetry::AllocationScope unit_alloc("loo_unit");
-              std::vector<size_t> subset;
-              subset.reserve(n - 1);
-              for (size_t j = 0; j < n; ++j) {
-                if (j != i) subset.push_back(j);
-              }
-              Result<double> without = EvaluateWithRetry(utility, subset,
-                                                         options);
-              if (!without.ok()) {
-                errors[i] = without.status();
-                return;
-              }
-              values[i] = full - *without;
-            },
-            options.num_threads, "leave_one_out"));
-    (void)used;
-    RecordMsForJob(
-        "estimator.wave_ms",
-        static_cast<double>(telemetry::NowMicros() - wave_start_us) / 1000.0);
-    for (size_t i = wave_begin; i < wave_end; ++i) {
-      if (!errors[i].ok()) {
-        NDE_LOG(WARNING) << "leave_one_out aborted at unit " << i << ": "
-                         << errors[i].ToString();
-        return errors[i];
-      }
-    }
-    if (options.progress) {
-      ProgressUpdate update;
-      update.phase = "leave_one_out";
-      update.completed = wave_end;
-      update.total = n;
-      update.utility_evaluations = wave_end + 1;  // + the full-set baseline
-      options.progress(update);
-    }
-  }
+  WaveRun run = RunWaves(
+      {.tasks = n,
+       .wave_size = 64,
+       .phase = "leave_one_out",
+       .label = "leave_one_out",
+       .alloc_phase = "loo_wave"},
+      options,
+      [&](size_t i) -> Status {
+        telemetry::AllocationScope unit_alloc("loo_unit");
+        std::vector<size_t> subset;
+        subset.reserve(n - 1);
+        for (size_t j = 0; j < n; ++j) {
+          if (j != i) subset.push_back(j);
+        }
+        NDE_ASSIGN_OR_RETURN(double without,
+                             EvaluateWithRetry(utility, subset, options));
+        values[i] = full - without;
+        return Status::OK();
+      },
+      [&](size_t, size_t wave_end, ProgressUpdate* update) {
+        if (update != nullptr) {
+          update->completed = wave_end;
+          update->total = n;
+          update->utility_evaluations = wave_end + 1;  // + the full set
+        }
+        return false;
+      });
+  // LOO has no sampling budget to shrink, so a failed or cancelled run has no
+  // meaningful partial result: the abort cause is the call's Status.
+  if (run.aborted) return run.abort_cause;
   return values;
 }
 
@@ -244,242 +207,188 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
   struct PermutationPartial {
     std::vector<double> marginals;
     size_t evaluations = 0;
-    Status error;  ///< First evaluation failure inside this permutation.
   };
 
   std::vector<double> sum(n, 0.0);
   std::vector<double> sum_sq(n, 0.0);
   size_t evaluations = 2;  // empty + full, evaluated above on this thread
-  size_t executed = 0;
-  size_t threads_used = 1;
-  bool aborted = false;
-  Status abort_cause;
+  // Slot t % kWavePermutations holds permutation t while its wave runs.
   std::vector<PermutationPartial> wave(
       std::min(kWavePermutations, options.num_permutations));
 
-  while (executed < options.num_permutations) {
-    if (CancelRequested(options)) {
-      aborted = true;
-      abort_cause = Status::Cancelled("tmc_shapley cancelled");
-      break;
-    }
-    size_t wave_begin = executed;
-    size_t wave_end =
-        std::min(wave_begin + kWavePermutations, options.num_permutations);
-    telemetry::AllocationScope wave_alloc("tmc_wave");
-    [[maybe_unused]] int64_t wave_start_us =
-        telemetry::Enabled() ? telemetry::NowMicros() : 0;
-    for (auto& partial : wave) {
-      partial.marginals.assign(n, 0.0);
-      partial.evaluations = 0;
-      partial.error = Status::OK();
-    }
-    Result<size_t> used = TryParallelFor(
-        wave_begin, wave_end,
-        [&](size_t t) {
-          // One complete-event per permutation: the trace shows where sampling
-          // time goes and how hard truncation is biting, task by task.
-          NDE_TRACE_SPAN_VAR(perm_span, "tmc_permutation", "importance");
-          telemetry::AllocationScope perm_alloc("tmc_permutation");
-          PermutationPartial& out = wave[t - wave_begin];
-          Rng rng = seeds.RngFor(t);
-          std::vector<size_t> perm = rng.Permutation(n);
-          // A prefix scan is an incremental state machine, so a failed Push
-          // cannot be retried in place. A transient fault at position P
-          // instead re-runs the permutation against a fresh scan, replaying
-          // the already-succeeded prefix silently (exact scans make the
-          // replay idempotent, and settled fault decisions are not re-taken)
-          // and re-rolling only position P's decision — keyed by permutation
-          // x position x attempt, schedule-invariant for replay. Each
-          // evaluation gets the same bounded budget and counted, capped
-          // backoff as EvaluateWithRetry, which handles the non-scan path.
-          Status failure;
-          size_t resume_pos = 0;     // First position still owed a decision.
-          size_t fail_attempts = 0;  // Failed attempts at resume_pos so far.
-          for (;;) {
-            if (fail_attempts > 0) {
-              NDE_METRIC_COUNT("estimator.retries", 1);
-              uint64_t delay_ms =
-                  static_cast<uint64_t>(options.retry_backoff_ms)
-                  << (fail_attempts - 1);
-              delay_ms = std::min<uint64_t>(
-                  delay_ms, uint64_t{10} * options.retry_backoff_ms);
-              if (delay_ms > 0) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(delay_ms));
-              }
-            }
-            // Prefix-scan fast path: the permutation grows one coalition a
-            // unit at a time, so a utility offering an incremental scan
-            // evaluates each prefix without retraining from scratch. Exact
-            // scans are bit-identical to Evaluate; approximate warm-started
-            // scans are only handed out when options.warm_start opted in.
-            std::unique_ptr<UtilityFunction::PrefixScan> scan =
-                options.use_prefix_scan
-                    ? utility.NewPrefixScan(options.warm_start)
-                    : nullptr;
-            failure = Status::OK();
-            size_t failed_at = 0;
-            std::vector<size_t> prefix;
-            // Only the slow per-prefix Evaluate path grows this vector; the
-            // scan path stays allocation-free, so reserve lazily.
-            if (scan == nullptr) prefix.reserve(n);
-            double previous = empty_utility;
-            bool truncated = false;
-            for (size_t pos = 0; pos < n && failure.ok(); ++pos) {
-              size_t unit = perm[pos];
-              double marginal = 0.0;
-              if (!truncated) {
-                if (options.truncation_tolerance > 0.0 &&
-                    std::fabs(full_utility - previous) <
-                        options.truncation_tolerance) {
-                  truncated = true;  // Remaining marginals are zero.
-                  CountForJob("shapley.truncation_hits", 1);
-                  NDE_SPAN_ARG(perm_span, "truncated_at",
-                               static_cast<int64_t>(pos));
-                } else {
-                  double current;
-                  if (scan != nullptr) {
-                    if (failpoint::AnyArmed() && pos >= resume_pos) {
-                      size_t attempt = pos == resume_pos ? fail_attempts : 0;
-                      failpoint::Outcome fp = failpoint::Fire(
-                          "utility.evaluate",
-                          failpoint::MixKey(failpoint::MixKey(t, pos),
-                                            attempt));
-                      if (fp.kind == failpoint::Outcome::kNanPoison) {
-                        failure = Status::Internal(
-                            "utility produced a non-finite value");
-                        failed_at = pos;
-                        break;
-                      }
-                      if (fp.fired()) {
-                        failure = fp.status;
-                        failed_at = pos;
-                        break;
-                      }
-                    }
-                    current = scan->Push(unit);
-                    if (!std::isfinite(current)) {
+  WaveRun run = RunWaves(
+      {.tasks = options.num_permutations,
+       .wave_size = kWavePermutations,
+       .phase = "tmc_shapley",
+       .label = "tmc_wave",
+       .alloc_phase = "tmc_wave"},
+      options,
+      [&](size_t t) -> Status {
+        // One complete-event per permutation: the trace shows where sampling
+        // time goes and how hard truncation is biting, task by task.
+        NDE_TRACE_SPAN_VAR(perm_span, "tmc_permutation", "importance");
+        telemetry::AllocationScope perm_alloc("tmc_permutation");
+        PermutationPartial& out = wave[t % kWavePermutations];
+        out.marginals.assign(n, 0.0);
+        out.evaluations = 0;
+        Rng rng = seeds.RngFor(t);
+        std::vector<size_t> perm = rng.Permutation(n);
+        // A prefix scan is an incremental state machine, so a failed Push
+        // cannot be retried in place. A transient fault at position P
+        // instead re-runs the permutation against a fresh scan, replaying
+        // the already-succeeded prefix silently (exact scans make the
+        // replay idempotent, and settled fault decisions are not re-taken)
+        // and re-rolling only position P's decision — keyed by permutation
+        // x position x attempt, schedule-invariant for replay. Each
+        // evaluation gets the same bounded budget and backoff as
+        // EvaluateWithRetry, which handles the non-scan path.
+        Status failure;
+        size_t resume_pos = 0;     // First position still owed a decision.
+        size_t fail_attempts = 0;  // Failed attempts at resume_pos so far.
+        for (;;) {
+          if (fail_attempts > 0) BackOffBeforeRetry(fail_attempts, options);
+          // Prefix-scan fast path: the permutation grows one coalition a
+          // unit at a time, so a utility offering an incremental scan
+          // evaluates each prefix without retraining from scratch. Exact
+          // scans are bit-identical to Evaluate; approximate warm-started
+          // scans are only handed out when options.warm_start opted in.
+          std::unique_ptr<UtilityFunction::PrefixScan> scan =
+              options.use_prefix_scan
+                  ? utility.NewPrefixScan(options.warm_start)
+                  : nullptr;
+          failure = Status::OK();
+          size_t failed_at = 0;
+          std::vector<size_t> prefix;
+          // Only the slow per-prefix Evaluate path grows this vector; the
+          // scan path stays allocation-free, so reserve lazily.
+          if (scan == nullptr) prefix.reserve(n);
+          double previous = empty_utility;
+          bool truncated = false;
+          for (size_t pos = 0; pos < n && failure.ok(); ++pos) {
+            size_t unit = perm[pos];
+            double marginal = 0.0;
+            if (!truncated) {
+              if (options.truncation_tolerance > 0.0 &&
+                  std::fabs(full_utility - previous) <
+                      options.truncation_tolerance) {
+                truncated = true;  // Remaining marginals are zero.
+                CountForJob("shapley.truncation_hits", 1);
+                NDE_SPAN_ARG(perm_span, "truncated_at",
+                             static_cast<int64_t>(pos));
+              } else {
+                double current;
+                if (scan != nullptr) {
+                  if (failpoint::AnyArmed() && pos >= resume_pos) {
+                    size_t attempt = pos == resume_pos ? fail_attempts : 0;
+                    failpoint::Outcome fp = failpoint::Fire(
+                        "utility.evaluate",
+                        failpoint::MixKey(failpoint::MixKey(t, pos),
+                                          attempt));
+                    if (fp.kind == failpoint::Outcome::kNanPoison) {
                       failure = Status::Internal(
                           "utility produced a non-finite value");
                       failed_at = pos;
                       break;
                     }
-                  } else {
-                    prefix.push_back(unit);
-                    Result<double> value =
-                        EvaluateWithRetry(utility, Sorted(prefix), options);
-                    if (!value.ok()) {
-                      failure = value.status();
+                    if (fp.fired()) {
+                      failure = fp.status;
+                      failed_at = pos;
                       break;
                     }
-                    current = *value;
                   }
-                  ++out.evaluations;
-                  marginal = current - previous;
-                  previous = current;
+                  current = scan->Push(unit);
+                  if (!std::isfinite(current)) {
+                    failure = Status::Internal(
+                        "utility produced a non-finite value");
+                    failed_at = pos;
+                    break;
+                  }
+                } else {
+                  prefix.push_back(unit);
+                  Result<double> value =
+                      EvaluateWithRetry(utility, Sorted(prefix), options);
+                  if (!value.ok()) {
+                    failure = value.status();
+                    break;
+                  }
+                  current = *value;
                 }
+                ++out.evaluations;
+                marginal = current - previous;
+                previous = current;
               }
-              out.marginals[unit] = marginal;
             }
-            if (failure.ok()) {
-              if (fail_attempts > 0) telemetry::SetHealthy();
-              break;
-            }
-            telemetry::SetDegraded(failure.ToString());
-            if (scan == nullptr || !IsRetryable(failure.code())) break;
-            if (failed_at != resume_pos) {
-              resume_pos = failed_at;  // Fresh evaluation, fresh budget.
-              fail_attempts = 0;
-            }
-            if (fail_attempts >= options.max_retries) break;
-            ++fail_attempts;
+            out.marginals[unit] = marginal;
           }
-          out.error = failure;
-          NDE_SPAN_ARG(perm_span, "permutation", static_cast<int64_t>(t));
-          NDE_SPAN_ARG(perm_span, "evaluations",
-                       static_cast<int64_t>(out.evaluations));
-        },
-        options.num_threads, "tmc_wave");
-    if (!used.ok()) {
-      aborted = true;
-      abort_cause = used.status();
-      break;
-    }
-    threads_used = std::max(threads_used, *used);
-    RecordMsForJob(
-        "estimator.wave_ms",
-        static_cast<double>(telemetry::NowMicros() - wave_start_us) / 1000.0);
-
-    // A failed wave is discarded whole (in index order, so the abort cause is
-    // schedule-invariant): the estimate then covers exactly the permutations
-    // a clean run with a smaller budget would have used.
-    for (size_t t = wave_begin; t < wave_end && !aborted; ++t) {
-      if (!wave[t - wave_begin].error.ok()) {
-        aborted = true;
-        abort_cause = wave[t - wave_begin].error;
-      }
-    }
-    if (aborted) break;
-
-    // Deterministic reduction: fold permutation partials in index order.
-    for (size_t t = wave_begin; t < wave_end; ++t) {
-      const PermutationPartial& partial = wave[t - wave_begin];
-      for (size_t i = 0; i < n; ++i) {
-        double marginal = partial.marginals[i];
-        sum[i] += marginal;
-        sum_sq[i] += marginal * marginal;
-      }
-      evaluations += partial.evaluations;
-    }
-    executed = wave_end;
-
-    // One max-std-error per wave serves both the convergence decision
-    // (max <= tol is equivalent to "every unit's error <= tol") and the
-    // progress callback, so installing a callback cannot change when the
-    // estimator stops.
-    double max_std_error = 0.0;
-    bool want_error = options.convergence_tolerance > 0.0 ||
-                      static_cast<bool>(options.progress);
-    if (want_error && executed > 1) {
-      double m = static_cast<double>(executed);
-      for (size_t i = 0; i < n; ++i) {
-        max_std_error =
-            std::max(max_std_error, MeanStdError(sum[i], sum_sq[i], m));
-      }
-    }
-    if (options.progress) {
-      ProgressUpdate update;
-      update.phase = "tmc_shapley";
-      update.completed = executed;
-      update.total = options.num_permutations;
-      update.utility_evaluations = evaluations;
-      update.max_std_error = max_std_error;
-      options.progress(update);
-    }
-    if (options.convergence_tolerance > 0.0 && executed > 1 &&
-        max_std_error <= options.convergence_tolerance) {
-      NDE_LOG(INFO) << "tmc_shapley converged after " << executed << "/"
-                    << options.num_permutations
-                    << " permutations (max std error " << max_std_error
-                    << " <= " << options.convergence_tolerance << ")";
-      break;
-    }
-  }
+          if (failure.ok()) {
+            if (fail_attempts > 0) telemetry::SetHealthy();
+            break;
+          }
+          telemetry::SetDegraded(failure.ToString());
+          if (scan == nullptr || !IsRetryable(failure.code())) break;
+          if (failed_at != resume_pos) {
+            resume_pos = failed_at;  // Fresh evaluation, fresh budget.
+            fail_attempts = 0;
+          }
+          if (fail_attempts >= options.max_retries) break;
+          ++fail_attempts;
+        }
+        NDE_SPAN_ARG(perm_span, "permutation", static_cast<int64_t>(t));
+        NDE_SPAN_ARG(perm_span, "evaluations",
+                     static_cast<int64_t>(out.evaluations));
+        return failure;
+      },
+      [&](size_t wave_begin, size_t wave_end, ProgressUpdate* update) {
+        // Deterministic reduction: fold permutation partials in index order.
+        for (size_t t = wave_begin; t < wave_end; ++t) {
+          const PermutationPartial& partial = wave[t % kWavePermutations];
+          for (size_t i = 0; i < n; ++i) {
+            double marginal = partial.marginals[i];
+            sum[i] += marginal;
+            sum_sq[i] += marginal * marginal;
+          }
+          evaluations += partial.evaluations;
+        }
+        // One max-std-error per wave serves both the convergence decision
+        // (max <= tol is equivalent to "every unit's error <= tol") and the
+        // progress update, so installing a callback cannot change when the
+        // estimator stops.
+        double max_std_error = 0.0;
+        bool want_error =
+            options.convergence_tolerance > 0.0 || update != nullptr;
+        if (want_error && wave_end > 1) {
+          double m = static_cast<double>(wave_end);
+          for (size_t i = 0; i < n; ++i) {
+            max_std_error =
+                std::max(max_std_error, MeanStdError(sum[i], sum_sq[i], m));
+          }
+        }
+        if (update != nullptr) {
+          update->completed = wave_end;
+          update->total = options.num_permutations;
+          update->utility_evaluations = evaluations;
+          update->max_std_error = max_std_error;
+        }
+        if (options.convergence_tolerance > 0.0 && wave_end > 1 &&
+            max_std_error <= options.convergence_tolerance) {
+          NDE_LOG(INFO) << "tmc_shapley converged after " << wave_end << "/"
+                        << options.num_permutations
+                        << " permutations (max std error " << max_std_error
+                        << " <= " << options.convergence_tolerance << ")";
+          return true;
+        }
+        return false;
+      });
+  size_t executed = run.tasks_done;
   CountForJob("shapley.permutations", executed);
   CountForJob("shapley.utility_evaluations", evaluations);
   NDE_SPAN_ARG(span, "units", static_cast<int64_t>(n));
   NDE_SPAN_ARG(span, "permutations", static_cast<int64_t>(executed));
   NDE_SPAN_ARG(span, "evaluations", static_cast<int64_t>(evaluations));
-  NDE_SPAN_ARG(span, "threads", static_cast<int64_t>(threads_used));
-  if (aborted) {
-    NDE_METRIC_COUNT("estimator.aborted", 1);
-    telemetry::SetDegraded(abort_cause.ToString());
-    NDE_LOG(WARNING) << "tmc_shapley aborted after " << executed << "/"
-                     << options.num_permutations
-                     << " permutations: " << abort_cause.ToString();
-    if (executed == 0) return abort_cause;  // Nothing usable to report.
-  }
+  NDE_SPAN_ARG(span, "threads", static_cast<int64_t>(run.threads_used));
+  // Failed waves were discarded whole, so the estimate covers exactly the
+  // permutations a clean run with a smaller budget would have used.
+  if (run.aborted && executed == 0) return run.abort_cause;
 
   ImportanceEstimate estimate;
   estimate.values.resize(n);
@@ -490,9 +399,9 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
     estimate.std_errors[i] = MeanStdError(sum[i], sum_sq[i], m);
   }
   estimate.utility_evaluations = evaluations;
-  estimate.num_threads_used = threads_used;
-  estimate.aborted_early = aborted;
-  estimate.abort_cause = abort_cause;
+  estimate.num_threads_used = run.threads_used;
+  estimate.aborted_early = run.aborted;
+  estimate.abort_cause = run.abort_cause;
   NDE_METRIC_GAUGE_SET(
       "shapley.max_std_error",
       estimate.std_errors.empty()
@@ -558,7 +467,6 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
     std::vector<uint16_t> member;  ///< Bit k: unit in sample k's coalition.
     double value[kChunkSamples];   ///< Utility of each sample's coalition.
     std::vector<double> in_sum, in_sq, out_sum, out_sq;
-    Status error;  ///< First evaluation failure inside this chunk.
   };
   static_assert(kChunkSamples <= 16, "membership masks are 16 bits wide");
 
@@ -567,14 +475,11 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
   std::vector<size_t> in_count(n, 0), out_count(n, 0);
 
   size_t num_chunks = (options.num_samples + kChunkSamples - 1) / kChunkSamples;
-  size_t chunk_cursor = 0;
   size_t executed_samples = 0;
-  size_t threads_used = 1;
-  bool aborted = false;
-  Status abort_cause;
+  // Slot c % kWaveChunks holds chunk c while its wave runs. Workers overwrite
+  // every slot of their chunk's partial, so the buffers are sized once and
+  // reused by every wave.
   std::vector<ChunkPartial> wave(std::min(kWaveChunks, num_chunks));
-  // Workers overwrite every slot of their chunk's partial, so the buffers
-  // are sized once and reused by every wave.
   for (auto& partial : wave) {
     partial.member.resize(n);
     partial.in_sum.resize(n);
@@ -583,166 +488,124 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
     partial.out_sq.resize(n);
   }
 
-  while (chunk_cursor < num_chunks) {
-    if (CancelRequested(options)) {
-      aborted = true;
-      abort_cause = Status::Cancelled("banzhaf cancelled");
-      break;
-    }
-    size_t wave_begin = chunk_cursor;
-    size_t wave_end = std::min(wave_begin + kWaveChunks, num_chunks);
-    telemetry::AllocationScope wave_alloc("banzhaf_wave");
-    [[maybe_unused]] int64_t wave_start_us =
-        telemetry::Enabled() ? telemetry::NowMicros() : 0;
-    for (auto& partial : wave) partial.error = Status::OK();
-    Result<size_t> used = TryParallelFor(
-        wave_begin, wave_end,
-        [&](size_t c) {
-          telemetry::AllocationScope chunk_alloc("banzhaf_chunk");
-          ChunkPartial& out = wave[c - wave_begin];
-          size_t sample_begin = c * kChunkSamples;
-          size_t sample_end =
-              std::min(sample_begin + kChunkSamples, options.num_samples);
-          // Chunks are traced (not samples) so a large num_samples does not
-          // flood the bounded trace buffer with per-sample events.
-          NDE_TRACE_SPAN_VAR(batch_span, "banzhaf_sample_batch", "importance");
-          const size_t samples = sample_end - sample_begin;
-          NDE_SPAN_ARG(batch_span, "samples", static_cast<int64_t>(samples));
-          uint16_t* member = out.member.data();
-          std::fill(member, member + n, uint16_t{0});
-          std::vector<size_t> subset;
-          for (size_t k = 0; k < samples; ++k) {
-            Rng rng = seeds.RngFor(sample_begin + k);
-            subset.resize(n);
-            size_t size = 0;
-            for (size_t i = 0; i < n; ++i) {
-              // NextBernoulli(0.5) without the branch: top bit clear.
-              subset[size] = i;
-              size += (rng.NextUint64() >> 63) ^ 1;
-            }
-            subset.resize(size);
-            // A second pass over the members, not a second store in the
-            // draw loop: that loop stays one tight dependency chain.
-            for (size_t i : subset) member[i] |= static_cast<uint16_t>(1u << k);
-            Result<double> evaluated =
-                EvaluateWithRetry(utility, subset, options);
-            if (!evaluated.ok()) {
-              out.error = evaluated.status();
-              return;  // The whole chunk is discarded with its wave.
-            }
-            out.value[k] = *evaluated;
-          }
+  WaveRun run = RunWaves(
+      {.tasks = num_chunks,
+       .wave_size = kWaveChunks,
+       .phase = "banzhaf",
+       .label = "banzhaf_wave",
+       .alloc_phase = "banzhaf_wave"},
+      options,
+      [&](size_t c) -> Status {
+        telemetry::AllocationScope chunk_alloc("banzhaf_chunk");
+        ChunkPartial& out = wave[c % kWaveChunks];
+        size_t sample_begin = c * kChunkSamples;
+        size_t sample_end =
+            std::min(sample_begin + kChunkSamples, options.num_samples);
+        // Chunks are traced (not samples) so a large num_samples does not
+        // flood the bounded trace buffer with per-sample events.
+        NDE_TRACE_SPAN_VAR(batch_span, "banzhaf_sample_batch", "importance");
+        const size_t samples = sample_end - sample_begin;
+        NDE_SPAN_ARG(batch_span, "samples", static_cast<int64_t>(samples));
+        uint16_t* member = out.member.data();
+        std::fill(member, member + n, uint16_t{0});
+        std::vector<size_t> subset;
+        for (size_t k = 0; k < samples; ++k) {
+          Rng rng = seeds.RngFor(sample_begin + k);
+          subset.resize(n);
+          size_t size = 0;
           for (size_t i = 0; i < n; ++i) {
-            const uint64_t mask = member[i];
-            double in_sum = 0.0, in_sq = 0.0, out_sum = 0.0, out_sq = 0.0;
-            for (size_t k = 0; k < samples; ++k) {
-              const uint64_t in = (mask >> k) & 1;
-              const double value = out.value[k];
-              const double square = value * value;
-              in_sum += MemberOrZero(in, value);
-              in_sq += MemberOrZero(in, square);
-              out_sum += MemberOrZero(in ^ 1, value);
-              out_sq += MemberOrZero(in ^ 1, square);
-            }
-            out.in_sum[i] = in_sum;
-            out.in_sq[i] = in_sq;
-            out.out_sum[i] = out_sum;
-            out.out_sq[i] = out_sq;
+            // NextBernoulli(0.5) without the branch: top bit clear.
+            subset[size] = i;
+            size += (rng.NextUint64() >> 63) ^ 1;
           }
-        },
-        options.num_threads, "banzhaf_wave");
-    if (!used.ok()) {
-      aborted = true;
-      abort_cause = used.status();
-      break;
-    }
-    threads_used = std::max(threads_used, *used);
-    RecordMsForJob(
-        "estimator.wave_ms",
-        static_cast<double>(telemetry::NowMicros() - wave_start_us) / 1000.0);
-
-    // Discard a failed wave whole (first error in chunk-index order wins) so
-    // the partial estimate matches a clean smaller-budget run exactly.
-    for (size_t c = wave_begin; c < wave_end && !aborted; ++c) {
-      if (!wave[c - wave_begin].error.ok()) {
-        aborted = true;
-        abort_cause = wave[c - wave_begin].error;
-      }
-    }
-    if (aborted) break;
-
-    // Deterministic reduction: fold chunk partials in index order.
-    for (size_t c = wave_begin; c < wave_end; ++c) {
-      const ChunkPartial& partial = wave[c - wave_begin];
-      const size_t samples =
-          std::min((c + 1) * kChunkSamples, options.num_samples) -
-          c * kChunkSamples;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t in = static_cast<size_t>(std::popcount(partial.member[i]));
-        in_sum[i] += partial.in_sum[i];
-        in_sq[i] += partial.in_sq[i];
-        out_sum[i] += partial.out_sum[i];
-        out_sq[i] += partial.out_sq[i];
-        in_count[i] += in;
-        out_count[i] += samples - in;
-      }
-      executed_samples += samples;
-    }
-    chunk_cursor = wave_end;
-
-    // Shared once-per-wave error scan (see the TMC loop): the estimate is
-    // estimable only when every unit has >= 2 in- and out-samples, and the
-    // stopping decision "estimable && max <= tol" is exactly the old
-    // per-unit early-exit check.
-    double max_std_error = 0.0;
-    bool estimable = true;
-    bool want_error = options.convergence_tolerance > 0.0 ||
-                      static_cast<bool>(options.progress);
-    if (want_error) {
-      for (size_t i = 0; i < n; ++i) {
-        if (in_count[i] < 2 || out_count[i] < 2) {
-          estimable = false;
-          max_std_error = 0.0;
-          break;
+          subset.resize(size);
+          // A second pass over the members, not a second store in the
+          // draw loop: that loop stays one tight dependency chain.
+          for (size_t i : subset) member[i] |= static_cast<uint16_t>(1u << k);
+          // A failure discards the whole chunk with its wave.
+          NDE_ASSIGN_OR_RETURN(out.value[k],
+                               EvaluateWithRetry(utility, subset, options));
         }
-        double in_err = MeanStdError(in_sum[i], in_sq[i],
-                                     static_cast<double>(in_count[i]));
-        double out_err = MeanStdError(out_sum[i], out_sq[i],
-                                      static_cast<double>(out_count[i]));
-        max_std_error = std::max(
-            max_std_error, std::sqrt(in_err * in_err + out_err * out_err));
-      }
-    }
-    if (options.progress) {
-      ProgressUpdate update;
-      update.phase = "banzhaf";
-      update.completed = executed_samples;
-      update.total = options.num_samples;
-      update.utility_evaluations = executed_samples;
-      update.max_std_error = estimable ? max_std_error : 0.0;
-      options.progress(update);
-    }
-    if (options.convergence_tolerance > 0.0 && estimable &&
-        max_std_error <= options.convergence_tolerance) {
-      NDE_LOG(INFO) << "banzhaf converged after " << executed_samples << "/"
-                    << options.num_samples << " samples (max std error "
-                    << max_std_error << " <= "
-                    << options.convergence_tolerance << ")";
-      break;
-    }
-  }
+        for (size_t i = 0; i < n; ++i) {
+          const uint64_t mask = member[i];
+          double in_sum = 0.0, in_sq = 0.0, out_sum = 0.0, out_sq = 0.0;
+          for (size_t k = 0; k < samples; ++k) {
+            const uint64_t in = (mask >> k) & 1;
+            const double value = out.value[k];
+            const double square = value * value;
+            in_sum += MemberOrZero(in, value);
+            in_sq += MemberOrZero(in, square);
+            out_sum += MemberOrZero(in ^ 1, value);
+            out_sq += MemberOrZero(in ^ 1, square);
+          }
+          out.in_sum[i] = in_sum;
+          out.in_sq[i] = in_sq;
+          out.out_sum[i] = out_sum;
+          out.out_sq[i] = out_sq;
+        }
+        return Status::OK();
+      },
+      [&](size_t wave_begin, size_t wave_end, ProgressUpdate* update) {
+        // Deterministic reduction: fold chunk partials in index order.
+        for (size_t c = wave_begin; c < wave_end; ++c) {
+          const ChunkPartial& partial = wave[c % kWaveChunks];
+          const size_t samples =
+              std::min((c + 1) * kChunkSamples, options.num_samples) -
+              c * kChunkSamples;
+          for (size_t i = 0; i < n; ++i) {
+            const size_t in =
+                static_cast<size_t>(std::popcount(partial.member[i]));
+            in_sum[i] += partial.in_sum[i];
+            in_sq[i] += partial.in_sq[i];
+            out_sum[i] += partial.out_sum[i];
+            out_sq[i] += partial.out_sq[i];
+            in_count[i] += in;
+            out_count[i] += samples - in;
+          }
+          executed_samples += samples;
+        }
+        // Shared once-per-wave error scan (see TMC): the estimate is
+        // estimable only when every unit has >= 2 in- and out-samples, and
+        // the stopping decision "estimable && max <= tol" is exactly the old
+        // per-unit early-exit check.
+        double max_std_error = 0.0;
+        bool estimable = true;
+        if (options.convergence_tolerance > 0.0 || update != nullptr) {
+          for (size_t i = 0; i < n; ++i) {
+            if (in_count[i] < 2 || out_count[i] < 2) {
+              estimable = false;
+              max_std_error = 0.0;
+              break;
+            }
+            double in_err = MeanStdError(in_sum[i], in_sq[i],
+                                         static_cast<double>(in_count[i]));
+            double out_err = MeanStdError(out_sum[i], out_sq[i],
+                                          static_cast<double>(out_count[i]));
+            max_std_error = std::max(
+                max_std_error, std::sqrt(in_err * in_err + out_err * out_err));
+          }
+        }
+        if (update != nullptr) {
+          update->completed = executed_samples;
+          update->total = options.num_samples;
+          update->utility_evaluations = executed_samples;
+          update->max_std_error = max_std_error;
+        }
+        if (options.convergence_tolerance > 0.0 && estimable &&
+            max_std_error <= options.convergence_tolerance) {
+          NDE_LOG(INFO) << "banzhaf converged after " << executed_samples
+                        << "/" << options.num_samples
+                        << " samples (max std error " << max_std_error
+                        << " <= " << options.convergence_tolerance << ")";
+          return true;
+        }
+        return false;
+      });
   CountForJob("banzhaf.samples", executed_samples);
   NDE_SPAN_ARG(span, "units", static_cast<int64_t>(n));
   NDE_SPAN_ARG(span, "samples", static_cast<int64_t>(executed_samples));
-  NDE_SPAN_ARG(span, "threads", static_cast<int64_t>(threads_used));
-  if (aborted) {
-    NDE_METRIC_COUNT("estimator.aborted", 1);
-    telemetry::SetDegraded(abort_cause.ToString());
-    NDE_LOG(WARNING) << "banzhaf aborted after " << executed_samples << "/"
-                     << options.num_samples
-                     << " samples: " << abort_cause.ToString();
-    if (executed_samples == 0) return abort_cause;
-  }
+  NDE_SPAN_ARG(span, "threads", static_cast<int64_t>(run.threads_used));
+  if (run.aborted && executed_samples == 0) return run.abort_cause;
 
   ImportanceEstimate estimate;
   estimate.values.resize(n, 0.0);
@@ -759,9 +622,9 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
     estimate.std_errors[i] = std::sqrt(in_err * in_err + out_err * out_err);
   }
   estimate.utility_evaluations = executed_samples;
-  estimate.num_threads_used = threads_used;
-  estimate.aborted_early = aborted;
-  estimate.abort_cause = abort_cause;
+  estimate.num_threads_used = run.threads_used;
+  estimate.aborted_early = run.aborted;
+  estimate.abort_cause = run.abort_cause;
   return estimate;
 }
 
@@ -836,7 +699,6 @@ Result<ImportanceEstimate> BetaShapleyValues(
     double mean = 0.0;
     double std_error = 0.0;
     size_t evaluations = 0;
-    Status error;  ///< First evaluation failure while sampling this unit.
   };
   std::vector<UnitPartial> units(n);
 
@@ -844,140 +706,95 @@ Result<ImportanceEstimate> BetaShapleyValues(
   // deterministic boundaries. Each unit's Rng stream is keyed by its index
   // and each unit converges on its own samples only, so the wave grouping
   // changes scheduling, never results.
-  constexpr size_t kWaveUnits = 16;
-  size_t threads_used = 1;
   size_t evaluations_so_far = 0;
   double max_std_error = 0.0;
-  bool aborted = false;
-  Status abort_cause;
-  size_t completed_units = 0;
-  for (size_t wave_begin = 0; wave_begin < n; wave_begin += kWaveUnits) {
-    if (CancelRequested(options)) {
-      aborted = true;
-      abort_cause = Status::Cancelled("beta_shapley cancelled");
-      break;
-    }
-    size_t wave_end = std::min(wave_begin + kWaveUnits, n);
-    telemetry::AllocationScope wave_alloc("beta_shapley_wave");
-    [[maybe_unused]] int64_t wave_start_us =
-        telemetry::Enabled() ? telemetry::NowMicros() : 0;
-    Result<size_t> used = TryParallelFor(
-        wave_begin, wave_end,
-        [&](size_t i) {
-          NDE_TRACE_SPAN_VAR(unit_span, "beta_shapley_unit", "importance");
-          telemetry::AllocationScope unit_alloc("beta_shapley_unit");
-          NDE_SPAN_ARG(unit_span, "unit", static_cast<int64_t>(i));
-          Rng rng = seeds.RngFor(i);
-          std::vector<size_t> others;
-          others.reserve(n - 1);
-          for (size_t j = 0; j < n; ++j) {
-            if (j != i) others.push_back(j);
+  WaveRun run = RunWaves(
+      {.tasks = n,
+       .wave_size = 16,
+       .phase = "beta_shapley",
+       .label = "beta_shapley_units",
+       .alloc_phase = "beta_shapley_wave"},
+      options,
+      [&](size_t i) -> Status {
+        NDE_TRACE_SPAN_VAR(unit_span, "beta_shapley_unit", "importance");
+        telemetry::AllocationScope unit_alloc("beta_shapley_unit");
+        NDE_SPAN_ARG(unit_span, "unit", static_cast<int64_t>(i));
+        Rng rng = seeds.RngFor(i);
+        std::vector<size_t> others;
+        others.reserve(n - 1);
+        for (size_t j = 0; j < n; ++j) {
+          if (j != i) others.push_back(j);
+        }
+        double sum = 0.0;
+        double sum_sq = 0.0;
+        size_t samples = 0;
+        for (size_t s = 0; s < options.samples_per_unit; ++s) {
+          size_t cardinality = rng.NextCategorical(cardinality_weights);
+          std::vector<size_t> picks =
+              rng.SampleWithoutReplacement(others.size(), cardinality);
+          std::vector<size_t> subset;
+          subset.reserve(cardinality + 1);
+          for (size_t p : picks) subset.push_back(others[p]);
+          NDE_ASSIGN_OR_RETURN(
+              double without,
+              EvaluateWithRetry(utility, Sorted(subset), options));
+          subset.push_back(i);
+          NDE_ASSIGN_OR_RETURN(
+              double with, EvaluateWithRetry(utility, Sorted(subset), options));
+          double marginal = with - without;
+          sum += marginal;
+          sum_sq += marginal * marginal;
+          ++samples;
+          if (options.convergence_tolerance > 0.0 &&
+              samples >= kMinSamplesForConvergence &&
+              MeanStdError(sum, sum_sq, static_cast<double>(samples)) <=
+                  options.convergence_tolerance) {
+            break;
           }
-          double sum = 0.0;
-          double sum_sq = 0.0;
-          size_t samples = 0;
-          for (size_t s = 0; s < options.samples_per_unit; ++s) {
-            size_t cardinality = rng.NextCategorical(cardinality_weights);
-            std::vector<size_t> picks =
-                rng.SampleWithoutReplacement(others.size(), cardinality);
-            std::vector<size_t> subset;
-            subset.reserve(cardinality + 1);
-            for (size_t p : picks) subset.push_back(others[p]);
-            Result<double> without =
-                EvaluateWithRetry(utility, Sorted(subset), options);
-            if (!without.ok()) {
-              units[i].error = without.status();
-              return;  // The unit's wave is discarded whole below.
-            }
-            subset.push_back(i);
-            Result<double> with =
-                EvaluateWithRetry(utility, Sorted(subset), options);
-            if (!with.ok()) {
-              units[i].error = with.status();
-              return;
-            }
-            double marginal = *with - *without;
-            sum += marginal;
-            sum_sq += marginal * marginal;
-            ++samples;
-            if (options.convergence_tolerance > 0.0 &&
-                samples >= kMinSamplesForConvergence &&
-                MeanStdError(sum, sum_sq, static_cast<double>(samples)) <=
-                    options.convergence_tolerance) {
-              break;
-            }
-          }
-          double m = static_cast<double>(samples);
-          UnitPartial& out = units[i];
-          out.mean = sum / m;
-          out.std_error = MeanStdError(sum, sum_sq, m);
-          out.evaluations = 2 * samples;
-          NDE_SPAN_ARG(unit_span, "std_error", out.std_error);
-        },
-        options.num_threads, "beta_shapley_units");
-    if (!used.ok()) {
-      aborted = true;
-      abort_cause = used.status();
-      break;
-    }
-    threads_used = std::max(threads_used, *used);
-    RecordMsForJob(
-        "estimator.wave_ms",
-        static_cast<double>(telemetry::NowMicros() - wave_start_us) / 1000.0);
-    // Discard a failed wave whole (first error in unit-index order wins): the
-    // discarded units report value 0 / std error 0, exactly like units a
-    // clean smaller run never reached.
-    for (size_t i = wave_begin; i < wave_end && !aborted; ++i) {
-      if (!units[i].error.ok()) {
-        aborted = true;
-        abort_cause = units[i].error;
-      }
-    }
-    if (aborted) {
-      for (size_t i = wave_begin; i < wave_end; ++i) units[i] = UnitPartial{};
-      break;
-    }
-    completed_units = wave_end;
-    // Index-order fold of the wave's partials (deterministic, and cheap
-    // enough to do even with no callback installed).
-    for (size_t i = wave_begin; i < wave_end; ++i) {
-      evaluations_so_far += units[i].evaluations;
-      max_std_error = std::max(max_std_error, units[i].std_error);
-    }
-    if (options.progress) {
-      ProgressUpdate update;
-      update.phase = "beta_shapley";
-      update.completed = wave_end;
-      update.total = n;
-      update.utility_evaluations = evaluations_so_far;
-      update.max_std_error = max_std_error;
-      options.progress(update);
-    }
-  }
+        }
+        double m = static_cast<double>(samples);
+        UnitPartial& out = units[i];
+        out.mean = sum / m;
+        out.std_error = MeanStdError(sum, sum_sq, m);
+        out.evaluations = 2 * samples;
+        NDE_SPAN_ARG(unit_span, "std_error", out.std_error);
+        return Status::OK();
+      },
+      [&](size_t wave_begin, size_t wave_end, ProgressUpdate* update) {
+        // Index-order fold of the wave's partials (deterministic, and cheap
+        // enough to do even with no callback installed).
+        for (size_t i = wave_begin; i < wave_end; ++i) {
+          evaluations_so_far += units[i].evaluations;
+          max_std_error = std::max(max_std_error, units[i].std_error);
+        }
+        if (update != nullptr) {
+          update->completed = wave_end;
+          update->total = n;
+          update->utility_evaluations = evaluations_so_far;
+          update->max_std_error = max_std_error;
+        }
+        return false;
+      });
+  if (run.aborted && run.tasks_done == 0) return run.abort_cause;
 
-  if (aborted) {
-    NDE_METRIC_COUNT("estimator.aborted", 1);
-    telemetry::SetDegraded(abort_cause.ToString());
-    NDE_LOG(WARNING) << "beta_shapley aborted after " << completed_units << "/"
-                     << n << " units: " << abort_cause.ToString();
-    if (completed_units == 0) return abort_cause;
-  }
-
+  // Only the units of folded waves count: units a discarded or never-run wave
+  // touched report value 0 / std error 0, exactly like units a clean smaller
+  // run never reached.
   ImportanceEstimate estimate;
   estimate.values.resize(n, 0.0);
   estimate.std_errors.resize(n, 0.0);
   size_t evaluations = 0;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < run.tasks_done; ++i) {
     estimate.values[i] = units[i].mean;
     estimate.std_errors[i] = units[i].std_error;
     evaluations += units[i].evaluations;
   }
   estimate.utility_evaluations = evaluations;
-  estimate.num_threads_used = threads_used;
-  estimate.aborted_early = aborted;
-  estimate.abort_cause = abort_cause;
+  estimate.num_threads_used = run.threads_used;
+  estimate.aborted_early = run.aborted;
+  estimate.abort_cause = run.abort_cause;
   CountForJob("beta_shapley.utility_evaluations", evaluations);
-  NDE_SPAN_ARG(span, "threads", static_cast<int64_t>(threads_used));
+  NDE_SPAN_ARG(span, "threads", static_cast<int64_t>(run.threads_used));
   return estimate;
 }
 

@@ -14,9 +14,10 @@ namespace nde {
 /// Every Monte-Carlo estimator in this header follows one contract:
 ///  - options embed EstimatorOptions (seed, num_threads, convergence
 ///    tolerance);
-///  - utility evaluations fan out over ParallelFor with per-task Rng streams
-///    from SeedSequence, and partial results reduce in fixed task order, so a
-///    fixed seed yields bit-identical values for any num_threads;
+///  - utility evaluations fan out over the RunWaves driver
+///    (importance/waves.h) with per-task Rng streams from SeedSequence, and
+///    partial results reduce in fixed task order, so a fixed seed yields
+///    bit-identical values for any num_threads;
 ///  - bad input (zero units, zero sampling budget) returns
 ///    Status::InvalidArgument instead of aborting.
 
@@ -38,10 +39,6 @@ struct ImportanceEstimate {
   /// The first failure that stopped sampling (OK when !aborted_early).
   Status abort_cause;
 };
-
-/// Deprecated pre-parallel name; remove after one release.
-using MonteCarloEstimate [[deprecated("use ImportanceEstimate")]] =
-    ImportanceEstimate;
 
 /// --- Leave-one-out -----------------------------------------------------------
 

@@ -5,9 +5,8 @@
 #include <numeric>
 #include <span>
 
-#include "common/parallel.h"
-#include "telemetry/metrics.h"
-#include "telemetry/trace.h"
+#include "common/check.h"
+#include "importance/waves.h"
 
 namespace nde {
 
@@ -38,9 +37,10 @@ std::vector<size_t> DistanceOrder(const Matrix& train_features,
 
 }  // namespace
 
-std::vector<double> KnnShapleyValues(const MlDataset& train,
-                                     const MlDataset& validation, size_t k,
-                                     const EstimatorOptions& options) {
+Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
+                                             const MlDataset& validation,
+                                             size_t k,
+                                             const EstimatorOptions& options) {
   NDE_CHECK_GE(k, 1u);
   NDE_CHECK_GT(train.size(), 0u);
   NDE_CHECK_GT(validation.size(), 0u);
@@ -49,16 +49,24 @@ std::vector<double> KnnShapleyValues(const MlDataset& train,
   double kd = static_cast<double>(k);
 
   // Validation points are independent; process them as fixed 8-point chunks
-  // with one partial sum per chunk, folded in chunk order below, so the
-  // result is bit-identical for any thread count. Chunks run in fixed
-  // 8-chunk waves purely so progress can be reported at deterministic
-  // boundaries; the per-chunk work is unchanged.
+  // with one partial sum per chunk, folded in chunk order, so the result is
+  // bit-identical for any thread count. Chunks run in fixed 8-chunk waves so
+  // progress and cancellation happen at deterministic boundaries; slot
+  // c % kWaveChunks holds chunk c while its wave runs.
   constexpr size_t kChunkPoints = 8;
   constexpr size_t kWaveChunks = 8;
   size_t num_chunks = (validation.size() + kChunkPoints - 1) / kChunkPoints;
-  std::vector<std::vector<double>> partials(num_chunks);
-  auto run_chunk = [&](size_t chunk) {
-        std::vector<double>& partial = partials[chunk];
+  std::vector<std::vector<double>> partials(std::min(kWaveChunks, num_chunks));
+  std::vector<double> values(n, 0.0);
+  WaveRun run = RunWaves(
+      {.tasks = num_chunks,
+       .wave_size = kWaveChunks,
+       .phase = "knn_shapley",
+       .label = "knn_shapley",
+       .alloc_phase = "knn_shapley_wave"},
+      options,
+      [&](size_t chunk) -> Status {
+        std::vector<double>& partial = partials[chunk % kWaveChunks];
         partial.assign(n, 0.0);
         std::vector<double> s(n, 0.0);
         size_t begin = chunk * kChunkPoints;
@@ -83,38 +91,23 @@ std::vector<double> KnnShapleyValues(const MlDataset& train,
           }
           for (size_t i = 0; i < n; ++i) partial[i] += s[i];
         }
-  };
-  for (size_t wave_begin = 0; wave_begin < num_chunks;
-       wave_begin += kWaveChunks) {
-    size_t wave_end = std::min(wave_begin + kWaveChunks, num_chunks);
-    int64_t wave_start_us =
-        telemetry::Enabled() ? telemetry::NowMicros() : 0;
-    ParallelFor(wave_begin, wave_end, run_chunk, options.num_threads,
-                "knn_shapley");
-    // Wave latency, attributed to the owning job when one is active — purely
-    // observational, like the progress callback below.
-    if (telemetry::Enabled()) {
-      telemetry::MetricsRegistry::Global()
-          .GetHistogramWithLabels("estimator.wave_ms",
-                                  telemetry::CurrentJobLabels())
-          .Record(static_cast<double>(telemetry::NowMicros() -
-                                      wave_start_us) /
-                  1000.0);
-    }
-    if (options.progress) {
-      ProgressUpdate update;
-      update.phase = "knn_shapley";
-      update.completed = std::min(wave_end * kChunkPoints, validation.size());
-      update.total = validation.size();
-      // Closed-form estimator: no utility evaluations, no error estimate.
-      options.progress(update);
-    }
-  }
-
-  std::vector<double> values(n, 0.0);
-  for (const std::vector<double>& partial : partials) {
-    for (size_t i = 0; i < n; ++i) values[i] += partial[i];
-  }
+        return Status::OK();
+      },
+      [&](size_t wave_begin, size_t wave_end, ProgressUpdate* update) {
+        for (size_t c = wave_begin; c < wave_end; ++c) {
+          const std::vector<double>& partial = partials[c % kWaveChunks];
+          for (size_t i = 0; i < n; ++i) values[i] += partial[i];
+        }
+        if (update != nullptr) {
+          update->completed =
+              std::min(wave_end * kChunkPoints, validation.size());
+          update->total = validation.size();
+          // Closed-form estimator: no utility evaluations, no error estimate.
+        }
+        return false;
+      });
+  // The closed form has no partial result: any abort is the call's Status.
+  if (run.aborted) return run.abort_cause;
   double inv_m = 1.0 / static_cast<double>(validation.size());
   for (double& value : values) value *= inv_m;
   return values;

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/result.h"
 #include "importance/estimator_options.h"
 #include "importance/utility.h"
 #include "ml/dataset.h"
@@ -27,10 +28,12 @@ namespace nde {
 /// Validation points are scored in parallel (fixed 8-point chunks with
 /// per-chunk partial sums folded in chunk order), so for any
 /// `options.num_threads` the result is bit-identical; the closed form draws
-/// no randomness, so `options.seed` is unused.
-std::vector<double> KnnShapleyValues(const MlDataset& train,
-                                     const MlDataset& validation, size_t k,
-                                     const EstimatorOptions& options = {});
+/// no randomness, so `options.seed` is unused. The closed form has no
+/// partial result, so a cancel (`options.cancel`, polled at 64-point wave
+/// boundaries) or a worker fault returns its cause as the Status.
+Result<std::vector<double>> KnnShapleyValues(
+    const MlDataset& train, const MlDataset& validation, size_t k,
+    const EstimatorOptions& options = {});
 
 /// The same game as an explicit UtilityFunction, used to validate the closed
 /// form against exact enumeration in tests and to plug the KNN proxy game

@@ -447,8 +447,9 @@ class KnnShapleyAlgorithm final : public AlgorithmInstance {
     EstimatorOptions options = options_;
     ApplyRuntime(&options);
     ImportanceEstimate estimate;
-    estimate.values =
-        KnnShapleyValues(*input.train, *input.validation, k_, options);
+    NDE_ASSIGN_OR_RETURN(
+        estimate.values,
+        KnnShapleyValues(*input.train, *input.validation, k_, options));
     return estimate;
   }
 

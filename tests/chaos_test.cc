@@ -24,7 +24,9 @@
 #include "common/trace_context.h"
 #include "data/csv.h"
 #include "data/table.h"
+#include "datagen/synthetic.h"
 #include "importance/game_values.h"
+#include "importance/knn_shapley.h"
 #include "importance/subset_cache.h"
 #include "importance/utility.h"
 #include "pipeline/encoders.h"
@@ -352,6 +354,69 @@ TEST_F(ChaosTest, RetryRecoversProbabilisticFaultsOnThePrefixScanPath) {
   EXPECT_EQ(retried->std_errors, clean->std_errors);
   EXPECT_GE(FiresFor("utility.evaluate"), 1u);
   EXPECT_TRUE(telemetry::IsHealthy());
+}
+
+TEST_F(ChaosTest, PrefixScanRetriesLandInTheJobLabeledSeries) {
+  ScanSumUtility utility(4);
+  TmcShapleyOptions options;
+  options.num_permutations = 8;
+  options.truncation_tolerance = 0.0;
+  options.seed = 11;
+  options.max_retries = 10;
+  options.retry_backoff_ms = 0;
+  options.use_prefix_scan = true;
+
+  bool was_enabled = telemetry::Enabled();
+  telemetry::SetEnabled(true);
+  TraceContext context = MintTraceContext();
+  context.job_id = "chaos-scan-retries";
+  context.algorithm = "tmc_shapley";
+  ScopedTraceContext scope(context);
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Global();
+  auto retries = [&registry](const telemetry::MetricLabels& labels) {
+    std::map<std::string, uint64_t> counters = registry.Snapshot().counters;
+    auto it = counters.find(
+        telemetry::LabeledSeriesName("estimator.retries", labels));
+    return it == counters.end() ? uint64_t{0} : it->second;
+  };
+  uint64_t base_before = retries({});
+  uint64_t labeled_before = retries(telemetry::CurrentJobLabels());
+
+  // The same flaky-backend setup as the prefix-scan recovery case above:
+  // every retry, on the scan path too, is attributed to the running job.
+  ASSERT_TRUE(
+      failpoint::Arm("utility.evaluate=error(unavailable:flaky)@0.2/3").ok());
+  Result<ImportanceEstimate> retried = TmcShapleyValues(utility, options);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  uint64_t base = retries({}) - base_before;
+  uint64_t labeled = retries(telemetry::CurrentJobLabels()) - labeled_before;
+  telemetry::SetEnabled(was_enabled);
+  EXPECT_GT(labeled, 0u);
+  EXPECT_EQ(labeled, base);
+}
+
+TEST_F(ChaosTest, KnnShapleyPoolFaultReturnsTypedError) {
+  BlobsOptions blobs;
+  blobs.num_examples = 40;
+  blobs.seed = 5;
+  MlDataset train = MakeBlobs(blobs);
+  blobs.num_examples = 24;  // Three 8-point chunks: the wave fans out.
+  blobs.seed = 6;
+  MlDataset validation = MakeBlobs(blobs);
+  EstimatorOptions options;
+  options.num_threads = 4;
+  ASSERT_TRUE(KnnShapleyValues(train, validation, 3, options).ok());
+
+  ASSERT_TRUE(
+      failpoint::Arm("threadpool.task=error(unavailable:knn pool down)").ok());
+  Result<std::vector<double>> values =
+      KnnShapleyValues(train, validation, 3, options);
+  ASSERT_FALSE(values.ok());
+  EXPECT_EQ(values.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(values.status().message().find("knn pool down"),
+            std::string::npos);
+  EXPECT_GE(FiresFor("threadpool.task"), 1u);
+  EXPECT_FALSE(telemetry::IsHealthy());
 }
 
 TEST_F(ChaosTest, ExhaustedRetriesAbortWithCause) {

@@ -172,7 +172,7 @@ TEST(DeterminismTest, KnnShapleyIdenticalAcrossThreadCounts) {
   std::vector<std::vector<double>> runs;
   for (size_t threads : kThreadCounts) {
     options.num_threads = threads;
-    runs.push_back(KnnShapleyValues(train, validation, 3, options));
+    runs.push_back(KnnShapleyValues(train, validation, 3, options).value());
   }
   for (size_t r = 1; r < runs.size(); ++r) {
     EXPECT_EQ(runs[r], runs[0]) << kThreadCounts[r] << " threads";

@@ -1,11 +1,15 @@
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +24,7 @@
 #include "importance/label_scores.h"
 #include "importance/subset_cache.h"
 #include "importance/utility.h"
+#include "importance/waves.h"
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
@@ -282,7 +287,8 @@ TEST(KnnShapleyTest, MatchesExactEnumerationOfItsGame) {
   for (size_t k : {1u, 3u}) {
     SoftKnnUtility game(train, validation, k);
     std::vector<double> exact = ExactShapleyValues(game).value();
-    std::vector<double> closed_form = KnnShapleyValues(train, validation, k);
+    std::vector<double> closed_form =
+        KnnShapleyValues(train, validation, k).value();
     ASSERT_EQ(exact.size(), closed_form.size());
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_NEAR(closed_form[i], exact[i], 1e-9) << "k=" << k << " i=" << i;
@@ -297,7 +303,8 @@ TEST(KnnShapleyTest, EfficiencySumsToFullUtility) {
   val_options.seed = 77;
   MlDataset validation = MakeBlobs(val_options);
   size_t k = 5;
-  std::vector<double> values = KnnShapleyValues(train, validation, k);
+  std::vector<double> values =
+      KnnShapleyValues(train, validation, k).value();
   SoftKnnUtility game(train, validation, k);
   double total = std::accumulate(values.begin(), values.end(), 0.0);
   EXPECT_NEAR(total, game.FullUtility(), 1e-9);
@@ -308,7 +315,8 @@ TEST(KnnShapleyTest, FlippedLabelsGetLowValues) {
   MlDataset dirty = splits.train;
   Rng rng(13);
   std::vector<size_t> corrupted = InjectLabelErrors(&dirty, 0.1, &rng);
-  std::vector<double> values = KnnShapleyValues(dirty, splits.valid, 5);
+  std::vector<double> values =
+      KnnShapleyValues(dirty, splits.valid, 5).value();
 
   double corrupted_mean = 0.0;
   double clean_mean = 0.0;
@@ -945,6 +953,277 @@ TEST(BetaShapleyTest, UtilityFaultAborts) {
   Result<ImportanceEstimate> estimate = BetaShapleyValues(game, options);
   ASSERT_FALSE(estimate.ok());
   EXPECT_EQ(estimate.status().code(), StatusCode::kUnavailable);
+}
+
+// --- Mid-run cancellation ----------------------------------------------------
+//
+// The progress hook raises the cancel flag after the first wave, so the run
+// stops at the second wave boundary. A cancelled Monte-Carlo run must equal a
+// clean run with a one-wave budget; estimators with no partial result return
+// kCancelled.
+
+/// Non-additive game, so marginals and std errors vary by coalition.
+LambdaUtility SqrtGame(size_t n) {
+  return LambdaUtility(n, [](const std::vector<size_t>& subset) {
+    double v = 0.0;
+    for (size_t i : subset) v += static_cast<double>(i + 1);
+    return std::sqrt(v);
+  });
+}
+
+void CancelAfterFirstWave(EstimatorOptions* options,
+                          std::atomic<bool>* cancel) {
+  options->cancel = cancel;
+  options->progress = [cancel](const ProgressUpdate&) {
+    cancel->store(true, std::memory_order_relaxed);
+  };
+}
+
+TEST(CancellationTest, TmcCancelledAfterWaveOneEqualsOneWaveBudget) {
+  LambdaUtility game = SqrtGame(6);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    TmcShapleyOptions clean_options;
+    clean_options.num_permutations = 32;
+    clean_options.truncation_tolerance = 0.0;
+    clean_options.num_threads = threads;
+    clean_options.seed = 21;
+    ImportanceEstimate clean = TmcShapleyValues(game, clean_options).value();
+
+    TmcShapleyOptions options = clean_options;
+    options.num_permutations = 96;
+    std::atomic<bool> cancel{false};
+    CancelAfterFirstWave(&options, &cancel);
+    ImportanceEstimate cancelled = TmcShapleyValues(game, options).value();
+    EXPECT_TRUE(cancelled.aborted_early) << "threads=" << threads;
+    EXPECT_EQ(cancelled.abort_cause.code(), StatusCode::kCancelled);
+    EXPECT_EQ(cancelled.values, clean.values) << "threads=" << threads;
+    EXPECT_EQ(cancelled.std_errors, clean.std_errors);
+    EXPECT_EQ(cancelled.utility_evaluations, clean.utility_evaluations);
+  }
+}
+
+TEST(CancellationTest, BanzhafCancelledAfterWaveOneEqualsOneWaveBudget) {
+  LambdaUtility game = SqrtGame(6);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    BanzhafOptions clean_options;
+    clean_options.num_samples = 128;
+    clean_options.num_threads = threads;
+    clean_options.seed = 23;
+    ImportanceEstimate clean = BanzhafValues(game, clean_options).value();
+
+    BanzhafOptions options = clean_options;
+    options.num_samples = 300;
+    std::atomic<bool> cancel{false};
+    CancelAfterFirstWave(&options, &cancel);
+    ImportanceEstimate cancelled = BanzhafValues(game, options).value();
+    EXPECT_TRUE(cancelled.aborted_early) << "threads=" << threads;
+    EXPECT_EQ(cancelled.abort_cause.code(), StatusCode::kCancelled);
+    EXPECT_EQ(cancelled.values, clean.values) << "threads=" << threads;
+    EXPECT_EQ(cancelled.std_errors, clean.std_errors);
+    EXPECT_EQ(cancelled.utility_evaluations, clean.utility_evaluations);
+  }
+}
+
+TEST(CancellationTest, BetaShapleyCancelledAfterWaveOneKeepsFirstUnits) {
+  LambdaUtility game = SqrtGame(40);  // Waves of 16, 16 and 8 units.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    BetaShapleyOptions clean_options;
+    clean_options.samples_per_unit = 8;
+    clean_options.num_threads = threads;
+    clean_options.seed = 25;
+    ImportanceEstimate clean = BetaShapleyValues(game, clean_options).value();
+
+    BetaShapleyOptions options = clean_options;
+    std::atomic<bool> cancel{false};
+    CancelAfterFirstWave(&options, &cancel);
+    ImportanceEstimate cancelled = BetaShapleyValues(game, options).value();
+    EXPECT_TRUE(cancelled.aborted_early) << "threads=" << threads;
+    EXPECT_EQ(cancelled.abort_cause.code(), StatusCode::kCancelled);
+    ASSERT_EQ(cancelled.values.size(), 40u);
+    for (size_t i = 0; i < 40; ++i) {
+      double value = i < 16 ? clean.values[i] : 0.0;
+      double std_error = i < 16 ? clean.std_errors[i] : 0.0;
+      EXPECT_EQ(cancelled.values[i], value) << "unit " << i;
+      EXPECT_EQ(cancelled.std_errors[i], std_error) << "unit " << i;
+    }
+    EXPECT_EQ(cancelled.utility_evaluations, 16u * 2u * 8u);
+  }
+}
+
+TEST(CancellationTest, LeaveOneOutCancelledAfterWaveOneReturnsCancelled) {
+  LambdaUtility game = SqrtGame(100);  // Waves of 64 and 36 units.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    EstimatorOptions options;
+    options.num_threads = threads;
+    std::atomic<bool> cancel{false};
+    CancelAfterFirstWave(&options, &cancel);
+    Result<std::vector<double>> values = LeaveOneOutValues(game, options);
+    ASSERT_FALSE(values.ok()) << "threads=" << threads;
+    EXPECT_EQ(values.status().code(), StatusCode::kCancelled);
+  }
+}
+
+TEST(CancellationTest, KnnShapleyCancelledAfterWaveOneReturnsCancelled) {
+  BlobsOptions blobs;
+  blobs.num_examples = 30;
+  blobs.seed = 3;
+  MlDataset train = MakeBlobs(blobs);
+  blobs.num_examples = 80;  // 10 chunks of 8 points: waves of 8 and 2 chunks.
+  blobs.seed = 4;
+  MlDataset validation = MakeBlobs(blobs);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    EstimatorOptions options;
+    options.num_threads = threads;
+    std::atomic<bool> cancel{false};
+    CancelAfterFirstWave(&options, &cancel);
+    Result<std::vector<double>> values =
+        KnnShapleyValues(train, validation, 3, options);
+    ASSERT_FALSE(values.ok()) << "threads=" << threads;
+    EXPECT_EQ(values.status().code(), StatusCode::kCancelled);
+  }
+}
+
+// --- The RunWaves driver -----------------------------------------------------
+
+WavePlan TestPlan(size_t tasks) {
+  return {.tasks = tasks,
+          .wave_size = 16,
+          .phase = "test_waves",
+          .label = "test_waves",
+          .alloc_phase = "test_waves"};
+}
+
+TEST(RunWavesTest, FirstErrorInIndexOrderWinsAndDiscardsTheWave) {
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    EstimatorOptions options;
+    options.num_threads = threads;
+    // Wave 2 holds tasks 16..31. Task 25 fails first in wall time: with
+    // several workers, task 18 waits until it has, then fails too. Task 18
+    // is first in index order, so its error must win.
+    std::atomic<bool> later_failed{false};
+    std::atomic<bool> waited_for_later{false};
+    std::vector<std::pair<size_t, size_t>> folds;
+    WaveRun run = RunWaves(
+        TestPlan(40), options,
+        [&](size_t task) -> Status {
+          if (task == 25) {
+            later_failed.store(true);
+            return Status::Internal("task 25");
+          }
+          if (task == 18) {
+            if (threads > 1) {
+              for (int spin = 0; spin < 5000 && !later_failed.load(); ++spin) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+              }
+              waited_for_later.store(later_failed.load());
+            }
+            return Status::Unavailable("task 18");
+          }
+          return Status::OK();
+        },
+        [&](size_t begin, size_t end, ProgressUpdate*) {
+          folds.emplace_back(begin, end);
+          return false;
+        });
+    if (threads > 1) {
+      EXPECT_TRUE(waited_for_later.load());
+    }
+    EXPECT_TRUE(run.aborted) << "threads=" << threads;
+    EXPECT_EQ(run.abort_cause.code(), StatusCode::kUnavailable);
+    EXPECT_EQ(run.abort_cause.message(), "task 18");
+    EXPECT_EQ(run.tasks_done, 16u);
+    EXPECT_EQ(folds, (std::vector<std::pair<size_t, size_t>>{{0, 16}}));
+  }
+}
+
+TEST(RunWavesTest, FoldRunsOncePerCleanWaveInOrder) {
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    EstimatorOptions options;
+    options.num_threads = threads;
+    std::vector<std::string> progress;
+    options.progress = [&progress](const ProgressUpdate& update) {
+      progress.push_back(std::string(update.phase) + ":" +
+                         std::to_string(update.completed));
+    };
+    std::vector<std::atomic<int>> runs(50);
+    std::vector<std::pair<size_t, size_t>> folds;
+    WaveRun run = RunWaves(
+        TestPlan(50), options,
+        [&](size_t task) -> Status {
+          runs[task].fetch_add(1);
+          return Status::OK();
+        },
+        [&](size_t begin, size_t end, ProgressUpdate* update) {
+          // Every task of the wave has finished before its fold.
+          for (size_t t = begin; t < end; ++t) EXPECT_EQ(runs[t].load(), 1);
+          folds.emplace_back(begin, end);
+          EXPECT_NE(update, nullptr);
+          if (update != nullptr) update->completed = end;
+          return false;
+        });
+    EXPECT_FALSE(run.aborted) << "threads=" << threads;
+    EXPECT_TRUE(run.abort_cause.ok());
+    EXPECT_EQ(run.tasks_done, 50u);
+    EXPECT_GE(run.threads_used, 1u);
+    EXPECT_LE(run.threads_used, threads);
+    EXPECT_EQ(folds, (std::vector<std::pair<size_t, size_t>>{
+                         {0, 16}, {16, 32}, {32, 48}, {48, 50}}));
+    EXPECT_EQ(progress, (std::vector<std::string>{
+                            "test_waves:16", "test_waves:32",
+                            "test_waves:48", "test_waves:50"}));
+    for (size_t t = 0; t < runs.size(); ++t) EXPECT_EQ(runs[t].load(), 1);
+  }
+}
+
+TEST(RunWavesTest, FoldReturningTrueStopsTheRun) {
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    EstimatorOptions options;
+    options.num_threads = threads;
+    std::atomic<size_t> bodies{0};
+    size_t folds = 0;
+    WaveRun run = RunWaves(
+        TestPlan(100), options,
+        [&](size_t) -> Status {
+          bodies.fetch_add(1);
+          return Status::OK();
+        },
+        [&](size_t, size_t end, ProgressUpdate* update) {
+          EXPECT_EQ(update, nullptr);  // No progress hook installed.
+          ++folds;
+          return end == 32;
+        });
+    EXPECT_FALSE(run.aborted) << "threads=" << threads;
+    EXPECT_EQ(run.tasks_done, 32u);
+    EXPECT_EQ(bodies.load(), 32u);
+    EXPECT_EQ(folds, 2u);
+  }
+}
+
+TEST(RunWavesTest, CancelBeforeTheFirstWaveRunsNothing) {
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    EstimatorOptions options;
+    options.num_threads = threads;
+    std::atomic<bool> cancel{true};
+    options.cancel = &cancel;
+    std::atomic<size_t> bodies{0};
+    size_t folds = 0;
+    WaveRun run = RunWaves(
+        TestPlan(40), options,
+        [&](size_t) -> Status {
+          bodies.fetch_add(1);
+          return Status::OK();
+        },
+        [&](size_t, size_t, ProgressUpdate*) {
+          ++folds;
+          return false;
+        });
+    EXPECT_TRUE(run.aborted) << "threads=" << threads;
+    EXPECT_EQ(run.tasks_done, 0u);
+    EXPECT_EQ(run.abort_cause.code(), StatusCode::kCancelled);
+    EXPECT_EQ(run.abort_cause.message(), "test_waves cancelled");
+    EXPECT_EQ(bodies.load(), 0u);
+    EXPECT_EQ(folds, 0u);
+  }
 }
 
 // --- Generative SubsetCache properties (src/proptest harness) ---------------

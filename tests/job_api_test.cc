@@ -222,6 +222,35 @@ TEST(JobApiTest, FailingJobDegradesHealthAndLaterSuccessRestoresIt) {
   EXPECT_TRUE(telemetry::IsHealthy());
 }
 
+TEST(JobApiTest, KnnShapleyPoolFaultEndsInError) {
+  telemetry::SetHealthy();
+  failpoint::DisarmAll();
+  failpoint::ResetStats();
+  // 60 rows -> 12 validation points: two 8-point chunks, so the KNN wave
+  // fans out over pool tasks. Hit 1 is the job's own Execute task on the
+  // manager's pool; every later pool task (the KNN chunks) is killed.
+  JobRequest request = QuickRequest();
+  std::string csv = kCsv;
+  std::string rows = csv.substr(csv.find('\n') + 1);
+  request.csv_data = csv + rows + rows;
+  request.options = {{"k", "3"}, {"num_threads", "4"}};
+  ASSERT_TRUE(
+      failpoint::Arm("threadpool.task=error(unavailable:pool down)#2").ok());
+
+  JobManager manager;
+  std::string id = manager.Submit(request).value();
+  // AwaitDone's poll deadline fails the test if the job is stuck running.
+  JobSnapshot failed = AwaitDone(manager, id);
+  failpoint::DisarmAll();
+  failpoint::ResetStats();
+
+  EXPECT_EQ(failed.state, JobState::kError);
+  EXPECT_EQ(failed.error.code(), StatusCode::kUnavailable);
+  EXPECT_NE(failed.error.message().find("pool down"), std::string::npos);
+  EXPECT_TRUE(failed.estimate.values.empty());
+  telemetry::SetHealthy();
+}
+
 TEST(JobApiTest, WritesRunReportArtifact) {
   JobApiOptions options;
   options.artifact_dir = ::testing::TempDir() + "nde_job_artifacts";

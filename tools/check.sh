@@ -67,7 +67,8 @@
 #                                      # under TSan, then drives the CLI with
 #                                      # NDE_FAILPOINTS and checks the exit
 #                                      # code and the exported failpoint
-#                                      # counters
+#                                      # counters (a utility fault under TMC,
+#                                      # a pool fault under knn_shapley)
 #                                      # (default build dirs: build-chaos-asan
 #                                      # and build-chaos-tsan)
 #   tools/check.sh --prop-smoke [build-dir]
@@ -700,7 +701,25 @@ if [ "$MODE" = "chaos" ]; then
     echo "check.sh: --metrics lacks failpoint fire counters" >&2
     exit 1
   }
-  echo "check.sh: chaos gate passed (ASan+UBSan, TSan, CLI exit-3 + counters)"
+  # A killed pool task in the closed-form KNN-Shapley waves is a typed error
+  # too: exit 3 with the injected message, never std::terminate.
+  set +e
+  NDE_FAILPOINTS='threadpool.task=error(unavailable:chaos pool)' \
+    "$BUILD_PREFIX-asan/tools/nde_cli" importance "$WORKDIR/train.csv" \
+    --label label --method knn_shapley --threads 4 \
+    > "$WORKDIR/out.txt" 2> "$WORKDIR/err.txt"
+  CODE=$?
+  set -e
+  [ "$CODE" -eq 3 ] || {
+    echo "check.sh: expected exit 3 from a knn_shapley pool fault, got $CODE" >&2
+    cat "$WORKDIR/err.txt" >&2
+    exit 1
+  }
+  grep -q "chaos pool" "$WORKDIR/err.txt" || {
+    echo "check.sh: knn_shapley pool fault message missing from stderr" >&2
+    exit 1
+  }
+  echo "check.sh: chaos gate passed (ASan+UBSan, TSan, CLI exit-3 + counters, knn_shapley pool fault)"
   exit 0
 fi
 
