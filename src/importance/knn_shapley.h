@@ -1,17 +1,20 @@
 #ifndef NDE_IMPORTANCE_KNN_SHAPLEY_H_
 #define NDE_IMPORTANCE_KNN_SHAPLEY_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
 #include "importance/estimator_options.h"
 #include "importance/utility.h"
+#include "linalg/matrix.h"
 #include "ml/dataset.h"
 
 namespace nde {
 
-/// Exact Shapley values for the soft K-NN utility in O(n log n) per
-/// validation point (Jia et al., "Efficient task-specific data valuation for
+/// Exact Shapley values for the soft K-NN utility from one distance order
+/// per validation point (Jia et al., "Efficient task-specific data valuation for
 /// nearest neighbor algorithms", 2019) — the workhorse that makes
 /// Shapley-based data debugging tractable (Figure 2's
 /// `nde.knn_shapley_values`).
@@ -23,7 +26,9 @@ namespace nde {
 /// sum_i phi_i == v(full training set).
 ///
 /// Ties in distance are broken by training index, matching
-/// `KnnClassifier::Neighbors`.
+/// `KnnClassifier::Neighbors` (see KnnDistanceOrder). Each validation point
+/// costs O(n d): the distances, a radix order and the O(n) recurrence.
+/// Requires n < 2^32.
 ///
 /// Validation points are scored in parallel (fixed 8-point chunks with
 /// per-chunk partial sums folded in chunk order), so for any
@@ -34,6 +39,14 @@ namespace nde {
 Result<std::vector<double>> KnnShapleyValues(
     const MlDataset& train, const MlDataset& validation, size_t k,
     const EstimatorOptions& options = {});
+
+/// The neighbor order behind KnnShapleyValues and SoftKnnUtility: training
+/// rows sorted by squared Euclidean distance to `query`, ties by index —
+/// exactly std::sort's order under the (distance, index) comparator, found
+/// by a radix sort of the distances' bit patterns. Rows at a NaN distance
+/// come last, by index. Requires train_features.rows() < 2^32.
+std::vector<uint32_t> KnnDistanceOrder(const Matrix& train_features,
+                                       std::span<const double> query);
 
 /// The same game as an explicit UtilityFunction, used to validate the closed
 /// form against exact enumeration in tests and to plug the KNN proxy game
@@ -50,8 +63,8 @@ class SoftKnnUtility : public UtilityFunction {
   MlDataset validation_;
   size_t k_;
   /// distance_order_[v] = training indices sorted by distance to validation
-  /// point v (precomputed once).
-  std::vector<std::vector<size_t>> distance_order_;
+  /// point v (KnnDistanceOrder, precomputed once).
+  std::vector<std::vector<uint32_t>> distance_order_;
 };
 
 }  // namespace nde

@@ -2,6 +2,8 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -237,6 +239,9 @@ struct JobManager::Job {
   Status error;
   std::string artifact_path;
   std::vector<JobWaveEvent> events;
+  /// A Get has seen the job finished, so a client holds its result. Set by
+  /// the const Get: it steers eviction only, never what a snapshot shows.
+  bool read = false;
 };
 
 JobManager::JobManager(JobApiOptions options) : options_(std::move(options)) {
@@ -310,6 +315,7 @@ void JobManager::Execute(const std::shared_ptr<Job>& job) {
     if (job->cancel.load(std::memory_order_relaxed)) {
       job->state = JobState::kCancelled;
       job->error = Status::Cancelled("job cancelled before it started");
+      RetireLocked(*job);
       return;
     }
     job->state = JobState::kRunning;
@@ -329,6 +335,36 @@ void JobManager::Execute(const std::shared_ptr<Job>& job) {
     job->error = status;
     telemetry::SetDegraded(status.ToString());
   }
+  RetireLocked(*job);
+}
+
+void JobManager::RetireLocked(const Job& job) {
+  finished_.push_back(job.id);
+  if (finished_.size() <= kMaxFinishedJobs) return;
+  auto victim = std::find_if(
+      finished_.begin(), finished_.end(),
+      [this](const std::string& id) { return jobs_.at(id)->read; });
+  if (victim == finished_.end()) victim = finished_.begin();
+  jobs_.erase(*victim);
+  order_.erase(std::find(order_.begin(), order_.end(), *victim));
+  finished_.erase(victim);
+}
+
+Status JobManager::MissingJobLocked(const std::string& id) const {
+  // Ids are issued as job-1, job-2, ...: one below next_id_ was issued and,
+  // being absent now, evicted.
+  size_t number = 0;
+  if (StartsWith(id, "job-")) {
+    std::from_chars(id.data() + 4, id.data() + id.size(), number);
+  }
+  if (number >= 1 && number < next_id_ &&
+      id == StrFormat("job-%zu", number)) {
+    return Status::NotFound(StrFormat(
+        "job '%s' was evicted: at most %zu finished jobs are kept, those "
+        "already read going first",
+        id.c_str(), kMaxFinishedJobs));
+  }
+  return Status::NotFound("no job with id '" + id + "'");
 }
 
 Status JobManager::RunJob(Job* job) {
@@ -431,10 +467,15 @@ Status JobManager::RunJob(Job* job) {
 Result<JobSnapshot> JobManager::Get(const std::string& id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return Status::NotFound("no job with id '" + id + "'");
+  if (it == jobs_.end()) return MissingJobLocked(id);
+  Job& job = *it->second;
+  if (job.state != JobState::kQueued && job.state != JobState::kRunning) {
+    job.read = true;
   }
-  const Job& job = *it->second;
+  return SnapshotLocked(job);
+}
+
+JobSnapshot JobManager::SnapshotLocked(const Job& job) {
   JobSnapshot snapshot;
   snapshot.id = job.id;
   snapshot.algorithm = job.request.algorithm;
@@ -462,8 +503,9 @@ std::vector<JobSnapshot> JobManager::List() const {
   std::vector<JobSnapshot> snapshots;
   snapshots.reserve(ids.size());
   for (const std::string& id : ids) {
-    Result<JobSnapshot> snapshot = Get(id);
-    if (snapshot.ok()) snapshots.push_back(*std::move(snapshot));
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = jobs_.find(id);
+    if (it != jobs_.end()) snapshots.push_back(SnapshotLocked(*it->second));
   }
   return snapshots;
 }
@@ -471,9 +513,7 @@ std::vector<JobSnapshot> JobManager::List() const {
 Status JobManager::Cancel(const std::string& id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return Status::NotFound("no job with id '" + id + "'");
-  }
+  if (it == jobs_.end()) return MissingJobLocked(id);
   it->second->cancel.store(true, std::memory_order_relaxed);
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,9 +26,12 @@ namespace nde {
 ///                      -> 202 {"id","state":"queued"}; 400 on a bad
 ///                      request; 429 when the queue is full (backpressure,
 ///                      never unbounded memory)
-///   GET    /jobs       -> {"jobs":[{summary}...]}
+///   GET    /jobs       -> {"jobs":[{summary}...]}: live jobs and the
+///                      retained finished ones, oldest first
 ///   GET    /jobs/<id>  -> full snapshot: state, progress, and on success
-///                      the estimate (values, std_errors, ranked rows)
+///                      the estimate (values, std_errors, ranked rows);
+///                      404 for an unknown id, and for an evicted one with a
+///                      message saying so
 ///   DELETE /jobs/<id>  -> cooperative cancellation (completed waves are
 ///                      kept; see EstimatorOptions::cancel)
 ///   GET    /jobs/<id>/tracez -> the job's span tree, filtered from the
@@ -42,6 +46,16 @@ namespace nde {
 /// artifact (config, convergence curve, error) under `artifact_dir` when one
 /// is configured. A failed job flips /healthz to degraded exactly like a
 /// failed CLI run; a later successful job restores it.
+///
+/// Retention: queued and running jobs are always kept, and at most
+/// kMaxFinishedJobs finished ones (done, error, cancelled), so memory stays
+/// flat however many jobs a server runs. A finished job counts as read once
+/// a Get (any GET or DELETE of /jobs/<id>) has seen it finished. When one
+/// more job finishes past the bound, the earliest finished job already read
+/// is evicted; an unread result goes only when every retained one is
+/// unread. So a slow poller keeps its result while other clients collect
+/// theirs. Every view of an evicted id answers 404 "evicted"; its RunReport
+/// artifacts on disk stay.
 ///
 /// Trace attribution: Submit adopts the submitting thread's TraceContext
 /// (the one HttpExporter::Dispatch installed from the request's traceparent)
@@ -129,15 +143,22 @@ class JobManager {
   /// ResourceExhausted when max_queued jobs are already waiting.
   Result<std::string> Submit(const JobRequest& request);
 
-  /// NotFound for an unknown id.
+  /// Finished jobs kept for Get. A memory bound, not a tuned window: ~4 MB
+  /// of results for 1k-row jobs (~16 KB each), and 64 times the ~4 results
+  /// left unread at once when 4 clients each poll their job every 5 ms.
+  static constexpr size_t kMaxFinishedJobs = 256;
+
+  /// NotFound for an unknown or evicted id. Seeing a finished job marks it
+  /// read, which makes it the first candidate for eviction.
   Result<JobSnapshot> Get(const std::string& id) const;
 
-  /// Summaries of every job, oldest first.
+  /// Summaries of every live and retained finished job, oldest first.
+  /// Listing marks no job read.
   std::vector<JobSnapshot> List() const;
 
   /// Raises the job's cancel flag. Queued jobs finish as kCancelled without
   /// running; a running job stops at its next wave boundary. Cancelling a
-  /// finished job is a no-op. NotFound for an unknown id.
+  /// finished job is a no-op. NotFound for an unknown or evicted id.
   Status Cancel(const std::string& id);
 
   /// The HTTP face: handles /jobs, /jobs/<id>, /jobs/<id>/tracez,
@@ -153,11 +174,20 @@ class JobManager {
 
   void Execute(const std::shared_ptr<Job>& job);
   Status RunJob(Job* job);
+  /// Records `job` as finished and, past kMaxFinishedJobs, evicts the
+  /// earliest finished job already read, else the earliest finished.
+  /// Requires mu_.
+  void RetireLocked(const Job& job);
+  /// A copy of `job`'s state. Requires mu_.
+  static JobSnapshot SnapshotLocked(const Job& job);
+  /// The NotFound status for an id not in jobs_. Requires mu_.
+  Status MissingJobLocked(const std::string& id) const;
 
   JobApiOptions options_;
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<Job>> jobs_;
   std::vector<std::string> order_;  ///< submission order for List()
+  std::deque<std::string> finished_;  ///< retained finished ids, by finish
   size_t next_id_ = 1;
   size_t pending_ = 0;  ///< submitted but not yet started
   std::unique_ptr<ThreadPool> pool_;

@@ -16,6 +16,7 @@
 
 #include "common/failpoint.h"
 #include "common/status.h"
+#include "data/csv.h"
 #include "datagen/synthetic.h"
 #include "importance/fairness_debugging.h"
 #include "importance/game_values.h"
@@ -28,6 +29,8 @@
 #include "ml/knn.h"
 #include "ml/logistic_regression.h"
 #include "ml/naive_bayes.h"
+#include "nde/engine.h"
+#include "nde/registry.h"
 #include "proptest/check.h"
 #include "proptest/gen.h"
 
@@ -939,6 +942,231 @@ TEST(BanzhafNbGoldenTest, LeaveOneOutMatchesPinnedBits) {
   estimate.values = LeaveOneOutValues(utility, options).value();
   EXPECT_EQ(HashEstimate(estimate), 0x7b157182d59d2a2aULL)
       << "hash=0x" << std::hex << HashEstimate(estimate);
+}
+
+// --- Exact KNN-Shapley: pinned bits -------------------------------------------
+//
+// The closed form, its SoftKnnUtility game and the datascope path, pinned to
+// the results of an implementation that orders training rows with
+// std::sort and a (distance, index) comparator and evaluates the recurrence
+// term as (1[i] - 1[next]) / k * min(k, rank) / rank. Duplicate train rows
+// tie on distance, a validation row copied from the train set puts zero
+// distances first, and sizes that are not multiples of 8 leave partial
+// chunks; any change to these constants is a change of results.
+
+uint64_t HashValues(const std::vector<double>& values) {
+  ImportanceEstimate estimate;
+  estimate.values = values;
+  return HashEstimate(estimate);
+}
+
+/// `n` three-class blob rows in 3 dims plus copies of rows 0..5 (43 rows for
+/// n = 37), and `m` validation rows whose first row copies train row 2.
+std::pair<MlDataset, MlDataset> KnnGoldenSplit(size_t n, size_t m) {
+  BlobsOptions options;
+  options.num_examples = n;
+  options.num_features = 3;
+  options.num_classes = 3;
+  options.separation = 1.5;
+  options.seed = 81;
+  options.center_seed = 80;
+  MlDataset train = MakeBlobs(options);
+  std::vector<size_t> rows(n);
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  for (size_t i = 0; i < 6; ++i) rows.push_back(i);
+  train = train.Subset(rows);
+  options.num_examples = m;
+  options.seed = 82;
+  MlDataset validation = MakeBlobs(options);
+  for (size_t c = 0; c < 3; ++c) {
+    validation.features(0, c) = train.features(2, c);
+  }
+  return {std::move(train), std::move(validation)};
+}
+
+TEST(KnnShapleyGoldenTest, ValuesMatchPinnedBitsAtOneAndFourThreads) {
+  struct Case {
+    size_t n;
+    size_t m;
+    size_t k;
+    uint64_t hash;
+  };
+  // k = 50 exceeds the 43 training rows of the first split.
+  const Case cases[] = {
+      {37, 13, 1, 0xde6e56d34ab8e5ffULL},
+      {37, 13, 5, 0xf387c2eb02a41d79ULL},
+      {37, 13, 50, 0xf564be5119d337a4ULL},
+      {203, 75, 5, 0x2398f074750223f1ULL},
+      {203, 75, 3, 0x924879c42719283dULL},
+  };
+  for (const Case& c : cases) {
+    auto [train, validation] = KnnGoldenSplit(c.n, c.m);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      EstimatorOptions options;
+      options.num_threads = threads;
+      std::vector<double> values =
+          KnnShapleyValues(train, validation, c.k, options).value();
+      EXPECT_EQ(HashValues(values), c.hash)
+          << "n=" << c.n << " m=" << c.m << " k=" << c.k
+          << " threads=" << threads << " hash=0x" << std::hex
+          << HashValues(values);
+    }
+  }
+}
+
+TEST(KnnShapleyGoldenTest, SoftKnnEvaluateMatchesPinnedBits) {
+  auto [train, validation] = KnnGoldenSplit(37, 13);
+  std::vector<double> utilities;
+  for (size_t k : {1u, 5u, 50u}) {
+    SoftKnnUtility game(train, validation, k);
+    Rng rng(83);
+    for (size_t trial = 0; trial < 20; ++trial) {
+      size_t size = 1 + rng.NextBounded(train.size() - 1);
+      utilities.push_back(
+          game.Evaluate(rng.SampleWithoutReplacement(train.size(), size)));
+    }
+    utilities.push_back(game.FullUtility());
+  }
+  EXPECT_EQ(HashValues(utilities), 0x7a592299feb4302eULL)
+      << "hash=0x" << std::hex << HashValues(utilities);
+}
+
+TEST(KnnShapleyGoldenTest, DatascopeRegistryRunMatchesPinnedBits) {
+  // 70 source rows of small periodic integers: many exact duplicates, so
+  // ties reach the order through the pipeline's encoding too.
+  std::ostringstream csv;
+  csv << "a,b,label\n";
+  for (int i = 0; i < 70; ++i) {
+    csv << (i * 7) % 11 - 5 << "," << (i * 3) % 5 << "," << (i % 3 == 0)
+        << "\n";
+  }
+  Table table = ReadCsvString(csv.str()).value();
+  for (const char* threads : {"1", "4"}) {
+    std::unique_ptr<AlgorithmInstance> datascope =
+        AlgorithmRegistry::Global().Create("datascope").value();
+    ASSERT_TRUE(
+        datascope->ConfigureAll({{"k", "3"}, {"num_threads", threads}}).ok());
+    TableRunResult run = RunAlgorithmOnTable(*datascope, table, "label").value();
+    EXPECT_EQ(HashValues(run.estimate.values), 0xf5c5fea470bd8c7bULL)
+        << "threads=" << threads << " hash=0x" << std::hex
+        << HashValues(run.estimate.values);
+  }
+}
+
+// --- KnnDistanceOrder: the comparator order, without the comparator ---------
+
+/// Row-major squared distances of every training row to `query`.
+std::vector<double> RowMajorDistances(const Matrix& train,
+                                      std::span<const double> query) {
+  std::vector<double> dist(train.rows());
+  for (size_t i = 0; i < train.rows(); ++i) {
+    double acc = 0.0;
+    for (size_t c = 0; c < train.cols(); ++c) {
+      double diff = train(i, c) - query[c];
+      acc += diff * diff;
+    }
+    dist[i] = acc;
+  }
+  return dist;
+}
+
+/// std::sort under the (distance, index) comparator; NaN-free input only.
+std::vector<uint32_t> ComparatorOrder(const Matrix& train,
+                                      std::span<const double> query) {
+  std::vector<double> dist = RowMajorDistances(train, query);
+  std::vector<uint32_t> order(train.rows());
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  std::sort(order.begin(), order.end(), [&dist](uint32_t a, uint32_t b) {
+    if (dist[a] != dist[b]) return dist[a] < dist[b];
+    return a < b;
+  });
+  return order;
+}
+
+/// One feature value: mostly from a small pool (duplicate rows and zero
+/// distances), else Gaussian, subnormal, or 1e300 (a +inf distance).
+double OrderTestFeature(Rng* rng) {
+  static const double kPool[] = {0.0, -0.0, 1.0, -2.5, 3.0};
+  switch (rng->NextBounded(8)) {
+    case 0:
+    case 1:
+    case 2:
+      return kPool[rng->NextBounded(5)];
+    case 3:
+      return 4.9e-324 * static_cast<double>(rng->NextBounded(1000));
+    case 4:
+      return rng->NextBernoulli(0.5) ? 1e300 : -1e300;
+    default:
+      return rng->NextGaussian();
+  }
+}
+
+TEST(KnnDistanceOrderTest, EqualsComparatorSortOnRandomMatrices) {
+  Rng rng(91);
+  for (size_t trial = 0; trial < 300; ++trial) {
+    size_t n = trial % 10 == 0 ? 1 : 1 + rng.NextBounded(300);
+    size_t d = 1 + rng.NextBounded(4);
+    Matrix train(n, d);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t c = 0; c < d; ++c) train(i, c) = OrderTestFeature(&rng);
+    }
+    std::vector<double> query(d);
+    if (rng.NextBernoulli(0.3)) {
+      // A copy of a training row: at least one zero distance.
+      std::span<const double> row = train.RowSpan(rng.NextBounded(n));
+      query.assign(row.begin(), row.end());
+    } else {
+      for (double& q : query) q = OrderTestFeature(&rng);
+    }
+    ASSERT_EQ(KnnDistanceOrder(train, query), ComparatorOrder(train, query))
+        << "trial=" << trial << " n=" << n << " d=" << d;
+  }
+}
+
+TEST(KnnDistanceOrderTest, EqualsComparatorSortOnCloseDistances) {
+  // One dominant feature puts every distance within 2^-20 of 1e6, so they
+  // share their high 32 bits: long runs the low word must order.
+  Rng rng(92);
+  for (size_t n : {17u, 40u, 500u}) {
+    Matrix train(n, 2);
+    for (size_t i = 0; i < n; ++i) {
+      train(i, 0) = 0.0;
+      train(i, 1) = rng.NextBernoulli(0.2) ? 0.5 : rng.NextDouble();
+    }
+    std::vector<double> query = {1000.0, 0.0};
+    EXPECT_EQ(KnnDistanceOrder(train, query), ComparatorOrder(train, query))
+        << "n=" << n;
+  }
+}
+
+TEST(KnnDistanceOrderTest, NanDistancesComeLastByIndex) {
+  Rng rng(93);
+  for (size_t trial = 0; trial < 50; ++trial) {
+    size_t n = 1 + rng.NextBounded(120);
+    Matrix train(n, 3);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t c = 0; c < 3; ++c) train(i, c) = OrderTestFeature(&rng);
+      // A NaN of either sign: the order must not depend on the NaN's bits.
+      if (rng.NextBernoulli(0.25)) {
+        train(i, rng.NextBounded(3)) =
+            rng.NextBernoulli(0.5) ? std::nan("") : -std::nan("");
+      }
+    }
+    std::vector<double> query = {1.0, 0.5, -0.0};
+    std::vector<double> dist = RowMajorDistances(train, query);
+    std::vector<uint32_t> expected;
+    for (bool nan_pass : {false, true}) {
+      std::vector<uint32_t> part;
+      for (uint32_t i = 0; i < n; ++i) {
+        if (std::isnan(dist[i]) == nan_pass) part.push_back(i);
+      }
+      std::stable_sort(part.begin(), part.end(), [&](uint32_t a, uint32_t b) {
+        return !nan_pass && dist[a] < dist[b];
+      });
+      expected.insert(expected.end(), part.begin(), part.end());
+    }
+    EXPECT_EQ(KnnDistanceOrder(train, query), expected) << "trial=" << trial;
+  }
 }
 
 TEST(BetaShapleyTest, UtilityFaultAborts) {

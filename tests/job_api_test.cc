@@ -12,6 +12,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -581,6 +582,189 @@ TEST(JobApiTest, JobsWithoutIngressContextMintTheirOwnTrace) {
   EXPECT_TRUE(done.trace.has_trace());
   EXPECT_EQ(done.trace.job_id, id);
   EXPECT_EQ(done.trace.algorithm, "knn_shapley");
+}
+
+// --- Finished-job retention -------------------------------------------------
+
+constexpr size_t kRetained = JobManager::kMaxFinishedJobs;
+
+JobApiOptions Workers(size_t num_workers) {
+  JobApiOptions options;
+  options.num_workers = num_workers;
+  return options;
+}
+
+void AwaitRunning(const JobManager& manager, const std::string& id) {
+  for (int i = 0; i < 2000 &&
+                  manager.Get(id).value().state != JobState::kRunning;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(manager.Get(id).value().state, JobState::kRunning);
+}
+
+/// Waits for `id` to finish through List(), which, unlike Get, leaves the
+/// job unread: a client that has not polled yet.
+void AwaitFinishedUnread(const JobManager& manager, const std::string& id) {
+  for (int i = 0; i < 2000; ++i) {
+    for (const JobSnapshot& snapshot : manager.List()) {
+      if (snapshot.id == id && snapshot.state != JobState::kQueued &&
+          snapshot.state != JobState::kRunning) {
+        return;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ADD_FAILURE() << "job " << id << " never finished";
+}
+
+/// Runs `count` quick jobs one after another, each polled until done.
+std::vector<std::string> RunReadJobs(JobManager& manager, size_t count) {
+  std::vector<std::string> ids;
+  for (size_t i = 0; i < count; ++i) {
+    ids.push_back(manager.Submit(QuickRequest()).value());
+    EXPECT_EQ(AwaitDone(manager, ids.back()).state, JobState::kDone);
+  }
+  return ids;
+}
+
+std::vector<std::string> ListedIds(const JobManager& manager) {
+  std::vector<std::string> ids;
+  for (const JobSnapshot& snapshot : manager.List()) ids.push_back(snapshot.id);
+  return ids;
+}
+
+bool IsEvicted(const Status& status) {
+  return status.code() == StatusCode::kNotFound &&
+         status.message().find("was evicted") != std::string::npos;
+}
+
+TEST(JobRetentionTest, EarliestFinishedJobIsEvictedFirst) {
+  JobManager manager(Workers(1));
+  std::vector<std::string> ids = RunReadJobs(manager, kRetained + 2);
+  EXPECT_TRUE(IsEvicted(manager.Get(ids[0]).status()));
+  EXPECT_TRUE(IsEvicted(manager.Get(ids[1]).status()));
+  EXPECT_TRUE(manager.Get(ids[2]).ok());
+  EXPECT_TRUE(manager.Get(ids.back()).ok());
+  std::vector<std::string> listed = ListedIds(manager);
+  ASSERT_EQ(listed.size(), kRetained);
+  EXPECT_EQ(listed.front(), ids[2]);
+  EXPECT_EQ(listed.back(), ids.back());
+  // An id never issued is unknown, not evicted.
+  Status unknown = manager.Get("job-999999").status();
+  EXPECT_EQ(unknown.code(), StatusCode::kNotFound);
+  EXPECT_FALSE(IsEvicted(unknown)) << unknown.message();
+  EXPECT_FALSE(IsEvicted(manager.Get("job-01").status()));
+}
+
+TEST(JobRetentionTest, SlowPollerKeepsItsResultWhileOthersCollectTheirs) {
+  JobManager manager(Workers(1));
+  std::string slow = manager.Submit(QuickRequest()).value();
+  AwaitFinishedUnread(manager, slow);
+  // More than kMaxFinishedJobs quick jobs finish and are read after it.
+  std::vector<std::string> quick = RunReadJobs(manager, kRetained + 2);
+  EXPECT_TRUE(IsEvicted(manager.Get(quick[0]).status()));
+  EXPECT_TRUE(IsEvicted(manager.Get(quick[1]).status()));
+  EXPECT_TRUE(IsEvicted(manager.Get(quick[2]).status()));
+  EXPECT_TRUE(manager.Get(quick[3]).ok());
+  // The slow poller finally reads its result; from then on it is the
+  // earliest finished job already read, so the next finish evicts it.
+  Result<JobSnapshot> late = manager.Get(slow);
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  EXPECT_EQ(late->state, JobState::kDone);
+  EXPECT_FALSE(late->estimate.values.empty());
+  RunReadJobs(manager, 1);
+  EXPECT_TRUE(IsEvicted(manager.Get(slow).status()));
+  EXPECT_TRUE(manager.Get(quick[3]).ok());
+}
+
+TEST(JobRetentionTest, UnreadJobsStayBoundedOverManyJobs) {
+  JobManager manager(Workers(1));
+  std::vector<std::string> ids;
+  for (size_t i = 0; i < kRetained + 20; ++i) {
+    ids.push_back(manager.Submit(QuickRequest()).value());
+    AwaitFinishedUnread(manager, ids.back());
+    EXPECT_LE(manager.List().size(), kRetained);
+  }
+  // With nothing read, the earliest finished go.
+  EXPECT_TRUE(IsEvicted(manager.Get(ids[19]).status()));
+  EXPECT_TRUE(manager.Get(ids[20]).ok());
+}
+
+TEST(JobRetentionTest, QueuedAndRunningJobsSurviveEviction) {
+  EnsureBlockingRegistered();
+  JobManager manager(Workers(2));
+  std::string blocker1 = manager.Submit(BlockingRequest()).value();
+  AwaitRunning(manager, blocker1);
+  std::vector<std::string> quick = RunReadJobs(manager, kRetained + 1);
+  EXPECT_TRUE(IsEvicted(manager.Get(quick[0]).status()));
+  EXPECT_EQ(manager.Get(blocker1).value().state, JobState::kRunning);
+
+  // Both workers blocked: the next two jobs wait in the queue, and the
+  // second is cancelled before it can start.
+  std::string blocker2 = manager.Submit(BlockingRequest()).value();
+  AwaitRunning(manager, blocker2);
+  std::string queued = manager.Submit(QuickRequest()).value();
+  std::string cancelled = manager.Submit(QuickRequest()).value();
+  ASSERT_TRUE(manager.Cancel(cancelled).ok());
+  EXPECT_EQ(manager.Get(queued).value().state, JobState::kQueued);
+
+  // Releasing blocker1 finishes three jobs on its worker in turn (blocker1,
+  // queued, cancelled), each evicting the earliest finished job read.
+  ASSERT_TRUE(manager.Cancel(blocker1).ok());
+  JobSnapshot last = AwaitDone(manager, cancelled);
+  EXPECT_EQ(last.state, JobState::kCancelled);
+  EXPECT_EQ(last.error.message(), "job cancelled before it started");
+  EXPECT_EQ(manager.Get(queued).value().state, JobState::kDone);
+  EXPECT_EQ(manager.Get(blocker2).value().state, JobState::kRunning);
+  Result<JobSnapshot> unread = manager.Get(blocker1);
+  ASSERT_TRUE(unread.ok()) << unread.status().ToString();
+  EXPECT_EQ(unread->state, JobState::kCancelled);
+  for (size_t i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(IsEvicted(manager.Get(quick[i]).status())) << quick[i];
+  }
+  EXPECT_TRUE(manager.Get(quick[4]).ok());
+
+  ASSERT_TRUE(manager.Cancel(blocker2).ok());
+  EXPECT_EQ(AwaitDone(manager, blocker2).state, JobState::kCancelled);
+  EXPECT_TRUE(IsEvicted(manager.Get(quick[4]).status()));
+  std::vector<std::string> listed = ListedIds(manager);
+  ASSERT_EQ(listed.size(), kRetained);
+  EXPECT_EQ(listed.front(), blocker1);
+  EXPECT_EQ(std::vector<std::string>(listed.end() - 4, listed.end()),
+            (std::vector<std::string>{quick.back(), blocker2, queued,
+                                      cancelled}));
+}
+
+TEST(JobRetentionTest, EvictedIdAnswers404OnEveryViewAndKeepsArtifacts) {
+  JobApiOptions options = Workers(1);
+  options.artifact_dir = ::testing::TempDir() + "nde_job_retention";
+  JobManager manager(options);
+  std::vector<std::string> ids = RunReadJobs(manager, kRetained + 1);
+  const std::string evicted = "/jobs/" + ids[0];
+  for (const auto& [method, target] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"GET", evicted},
+           {"DELETE", evicted},
+           {"GET", evicted + "/tracez"},
+           {"GET", evicted + "/tracez?folded=1"},
+           {"GET", evicted + "/eventz"}}) {
+    std::string response = manager.HandleHttp(Request(method, target));
+    EXPECT_NE(StatusLine(response).find("404"), std::string::npos)
+        << method << " " << target << ": " << response;
+    EXPECT_NE(Body(response).find("was evicted"), std::string::npos)
+        << method << " " << target << ": " << response;
+  }
+  std::string list = Body(manager.HandleHttp(Request("GET", "/jobs")));
+  EXPECT_EQ(list.find("\"" + ids[0] + "\""), std::string::npos) << list;
+  EXPECT_NE(list.find("\"" + ids[1] + "\""), std::string::npos) << list;
+  EXPECT_NE(list.find("\"" + ids.back() + "\""), std::string::npos) << list;
+  // The evicted job's RunReport and wave timeline stay on disk.
+  EXPECT_FALSE(ReadWholeFile(options.artifact_dir + "/" + ids[0] + ".json")
+                   .empty());
+  EXPECT_FALSE(
+      ReadWholeFile(options.artifact_dir + "/" + ids[0] + ".events.json")
+          .empty());
 }
 
 }  // namespace

@@ -27,8 +27,10 @@
 #                                      # (default build dir: build-bench)
 #   tools/check.sh --kernel-smoke [build-dir]
 #                                      # ASan+UBSan build of nde_cli; runs the
-#                                      # Gaussian-NB FitView and Banzhaf
-#                                      # golden tests, then one KNN and one
+#                                      # Gaussian-NB FitView, Banzhaf and
+#                                      # KNN-Shapley golden tests and the
+#                                      # KNN distance-order property test,
+#                                      # then one KNN and one
 #                                      # Gaussian-NB importance job with the
 #                                      # prefix-scan kernels on vs off (and
 #                                      # SoA/arena off) and requires
@@ -222,9 +224,12 @@ if [ "$MODE" = "kernel" ]; then
   export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 
   # The retrain path's raw-pointer loops: Gaussian-NB FitView against the
-  # materialized fit, and the Banzhaf chunk fold against pinned bits.
+  # materialized fit, and the Banzhaf chunk fold against pinned bits. The
+  # exact KNN-Shapley kernel: pinned bits, and its radix distance order
+  # against the comparator sort (NaN and +inf distances included).
   "$BUILD_DIR/tests/ml_models_test" --gtest_filter='FitViewTest.GaussianNb*'
-  "$BUILD_DIR/tests/importance_test" --gtest_filter='BanzhafNbGoldenTest.*'
+  "$BUILD_DIR/tests/importance_test" \
+    --gtest_filter='BanzhafNbGoldenTest.*:KnnShapleyGoldenTest.*:KnnDistanceOrderTest.*'
 
   WORKDIR="$(mktemp -d)"
   trap 'rm -rf "$WORKDIR"' EXIT
@@ -264,7 +269,7 @@ EOF
   diff -u "$WORKDIR/nb_slow.txt" "$WORKDIR/nb_kernel.txt" \
     || { echo "check.sh: NB kernel ranking differs from slow path" >&2; exit 1; }
 
-  echo "check.sh: kernel smoke passed (KNN SoA/arena and NB scan rankings match the slow path, NB FitView and Banzhaf golden tests pass, under ASan+UBSan)"
+  echo "check.sh: kernel smoke passed (KNN SoA/arena and NB scan rankings match the slow path, NB FitView, Banzhaf and KNN-Shapley golden tests and the KNN order test pass, under ASan+UBSan)"
   exit 0
 fi
 
