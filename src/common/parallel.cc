@@ -161,7 +161,10 @@ size_t ParallelFor(size_t begin, size_t end,
   ThreadPool pool(threads);
   for (size_t t = 0; t < threads; ++t) {
     pool.Submit([&next, &failed, &body, end, label] {
-      NDE_TRACE_SPAN_VAR(worker_span, label, "parallel");
+      // A name of its own, so summing spans by name counts the coordinator
+      // span once instead of once per worker.
+      NDE_TRACE_SPAN_VAR(worker_span, "parallel_worker", "parallel");
+      NDE_SPAN_ARG(worker_span, "label", std::string(label));
       size_t executed = 0;
       for (;;) {
         if (failed.load(std::memory_order_relaxed)) break;

@@ -44,7 +44,7 @@ std::string MakeHttpResponse(int status, const char* reason,
 ///   /metrics  -> Prometheus text exposition of the global MetricsRegistry
 ///   /varz     -> the same registry as JSON (MetricsRegistry::ToJson)
 ///   /tracez   -> recent trace spans as JSON (most recent ~100)
-///   /profilez -> sampling-profiler flat table + allocation accounting;
+///   /profilez -> span-profiler flat table + allocation accounting;
 ///                /profilez?folded=1 downloads raw folded stacks
 ///                (flamegraph.pl / speedscope input)
 ///

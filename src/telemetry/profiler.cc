@@ -1,13 +1,10 @@
 #include "telemetry/profiler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <new>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/string_util.h"
 #include "telemetry/telemetry.h"
@@ -40,353 +37,75 @@
 namespace nde {
 namespace telemetry {
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Span-name interning
-//
-// The sampler reads worker stacks asynchronously, so it can never touch the
-// std::string a span owns (the span may be gone by the time the sample is
-// resolved). Frames therefore carry small interned ids; the table's strings
-// live for the process lifetime, making id resolution race-free by
-// construction. Ids are 1-based so 0 can mean "empty slot".
-// ---------------------------------------------------------------------------
-
-std::mutex& InternMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::deque<std::string>& InternNames() {
-  static std::deque<std::string>* names = new std::deque<std::string>();
-  return *names;
-}
-
-std::unordered_map<std::string, uint32_t>& InternIndex() {
-  static std::unordered_map<std::string, uint32_t>* index =
-      new std::unordered_map<std::string, uint32_t>();
-  return *index;
-}
-
-uint32_t InternName(const std::string& name) {
-  std::lock_guard<std::mutex> lock(InternMu());
-  auto [it, inserted] = InternIndex().emplace(name, 0);
-  if (inserted) {
-    InternNames().push_back(name);
-    it->second = static_cast<uint32_t>(InternNames().size());
-  }
-  return it->second;
-}
-
-std::string NameForId(uint32_t id) {
-  std::lock_guard<std::mutex> lock(InternMu());
-  if (id == 0 || id > InternNames().size()) return "?";
-  return InternNames()[id - 1];
-}
-
-// ---------------------------------------------------------------------------
-// Per-thread frame stacks
-//
-// Each thread that opens a span while sampling is active owns a fixed-depth
-// stack of atomic frame ids guarded by a seqlock generation counter: the
-// writer (the thread itself, in ScopedSpan's ctor/dtor) bumps the counter to
-// odd, mutates, bumps back to even; the sampler discards any observation
-// whose generation was odd or changed mid-read. Everything is atomic, so a
-// torn read costs one discarded sample, never undefined behavior.
-// ---------------------------------------------------------------------------
-
-constexpr uint32_t kMaxDepth = 64;
-
-struct ThreadStack {
-  std::atomic<uint32_t> generation{0};
-  std::atomic<uint32_t> depth{0};
-  std::atomic<uint32_t> frames[kMaxDepth];
-  ThreadStack() {
-    for (auto& frame : frames) frame.store(0, std::memory_order_relaxed);
-  }
-};
-
-std::mutex& StackRegistryMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-
-std::vector<ThreadStack*>& StackRegistry() {
-  static std::vector<ThreadStack*>* registry = new std::vector<ThreadStack*>();
-  return *registry;
-}
-
-// Registers on first use, unregisters at thread exit. The sampler holds
-// StackRegistryMu() for its whole pass, so a stack is never freed while
-// being read.
-struct ThreadStackHandle {
-  ThreadStack* stack = new ThreadStack();
-  ThreadStackHandle() {
-    std::lock_guard<std::mutex> lock(StackRegistryMu());
-    StackRegistry().push_back(stack);
-  }
-  ~ThreadStackHandle() {
-    {
-      std::lock_guard<std::mutex> lock(StackRegistryMu());
-      auto& registry = StackRegistry();
-      registry.erase(std::remove(registry.begin(), registry.end(), stack),
-                     registry.end());
-    }
-    delete stack;
-  }
-};
-
-ThreadStack& LocalStack() {
-  thread_local ThreadStackHandle handle;
-  return *handle.stack;
-}
-
-std::atomic<bool> g_sampling_active{false};
-
-// Sampler-assist bookkeeping: steady-clock nanosecond stamp of the most
-// recent sampling pass plus the configured interval (0 while stopped).
-std::atomic<int64_t> g_last_pass_ns{0};
-std::atomic<int64_t> g_assist_interval_ns{0};
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// On a saturated host (one core, CPU-bound estimator) the background sampler
-// thread can be starved for the whole of a short run, yielding an empty
-// profile. Exiting spans therefore assist it: when a full interval has gone
-// by with no sampling pass, the popping thread — whose own stack is stable
-// and still includes the finished span — takes one pass inline. The CAS
-// elects a single assistant per overdue interval.
-void MaybeAssistSampler() {
-  if (!g_sampling_active.load(std::memory_order_relaxed)) return;
-  int64_t interval = g_assist_interval_ns.load(std::memory_order_relaxed);
-  if (interval <= 0) return;
-  int64_t now = NowNs();
-  int64_t last = g_last_pass_ns.load(std::memory_order_relaxed);
-  if (now - last < interval) return;
-  if (!g_last_pass_ns.compare_exchange_strong(last, now,
-                                              std::memory_order_relaxed)) {
-    return;
-  }
-  Profiler::Global().SampleOnce();
-}
-
-}  // namespace
-
-namespace prof {
-
-bool SamplingActive() {
-  return g_sampling_active.load(std::memory_order_relaxed);
-}
-
-void PushFrame(const std::string& name) {
-  ThreadStack& stack = LocalStack();
-  uint32_t depth = stack.depth.load(std::memory_order_relaxed);
-  uint32_t id = depth < kMaxDepth ? InternName(name) : 0;
-  uint32_t seq = stack.generation.load(std::memory_order_relaxed);
-  stack.generation.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  if (depth < kMaxDepth) {
-    stack.frames[depth].store(id, std::memory_order_relaxed);
-  }
-  // Depth keeps counting past kMaxDepth (frames are just not recorded) so
-  // pops stay balanced on pathological nesting.
-  stack.depth.store(depth + 1, std::memory_order_relaxed);
-  stack.generation.store(seq + 2, std::memory_order_release);
-}
-
-void PopFrame() {
-  MaybeAssistSampler();
-  ThreadStack& stack = LocalStack();
-  uint32_t depth = stack.depth.load(std::memory_order_relaxed);
-  if (depth == 0) return;
-  uint32_t seq = stack.generation.load(std::memory_order_relaxed);
-  stack.generation.store(seq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  if (depth <= kMaxDepth) {
-    stack.frames[depth - 1].store(0, std::memory_order_relaxed);
-  }
-  stack.depth.store(depth - 1, std::memory_order_relaxed);
-  stack.generation.store(seq + 2, std::memory_order_release);
-}
-
-uint32_t LocalDepthForTesting() {
-  return LocalStack().depth.load(std::memory_order_relaxed);
-}
-
-}  // namespace prof
-
 // ---------------------------------------------------------------------------
 // Profiler
 // ---------------------------------------------------------------------------
 
 Profiler& Profiler::Global() {
-  // A real static (not a leaked pointer) so the destructor joins the sampler
-  // thread at process exit even if a caller forgets Stop(). The sampler only
-  // touches process-lifetime state, so the late join is safe.
-  static Profiler profiler;
-  return profiler;
+  static Profiler* profiler = new Profiler();
+  return *profiler;
 }
 
-Profiler::~Profiler() { Stop(); }
-
-Status Profiler::Start(const ProfilerOptions& options) {
-  if (options.sampling_interval_us <= 0) {
-    return Status::InvalidArgument("sampling_interval_us must be positive");
-  }
+Status Profiler::Start() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true,
-                                        std::memory_order_acq_rel)) {
+                                        std::memory_order_relaxed)) {
     return Status::FailedPrecondition("profiler already running");
   }
-  options_ = options;
-  g_last_pass_ns.store(NowNs(), std::memory_order_relaxed);
-  g_assist_interval_ns.store(options.sampling_interval_us * int64_t{1000},
-                             std::memory_order_relaxed);
-  g_sampling_active.store(true, std::memory_order_relaxed);
-  thread_ = std::thread(&Profiler::Run, this);
   return Status::OK();
 }
 
-void Profiler::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(cv_mu_);
-    running_.store(false, std::memory_order_release);
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  g_sampling_active.store(false, std::memory_order_relaxed);
-  g_assist_interval_ns.store(0, std::memory_order_relaxed);
+void Profiler::Stop() { running_.store(false, std::memory_order_relaxed); }
+
+void Profiler::Record(const std::string& stack, uint64_t self_us) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stacks_[stack] += self_us;
+  ++spans_;
 }
 
-void Profiler::Run() {
-  std::unique_lock<std::mutex> lock(cv_mu_);
-  while (running_.load(std::memory_order_acquire)) {
-    cv_.wait_for(lock,
-                 std::chrono::microseconds(options_.sampling_interval_us));
-    if (!running_.load(std::memory_order_acquire)) break;
-    lock.unlock();
-    SampleOnce();
-    lock.lock();
-  }
-}
-
-void Profiler::SampleOnce() {
-  std::vector<std::vector<uint32_t>> observed;
-  {
-    std::lock_guard<std::mutex> lock(StackRegistryMu());
-    observed.reserve(StackRegistry().size());
-    for (ThreadStack* stack : StackRegistry()) {
-      uint32_t seq_before = stack->generation.load(std::memory_order_acquire);
-      if (seq_before & 1u) {
-        torn_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      uint32_t depth = stack->depth.load(std::memory_order_relaxed);
-      if (depth == 0) continue;  // idle thread: nothing on the span stack
-      depth = std::min(depth, kMaxDepth);
-      std::vector<uint32_t> key(depth);
-      for (uint32_t i = 0; i < depth; ++i) {
-        key[i] = stack->frames[i].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (stack->generation.load(std::memory_order_relaxed) != seq_before ||
-          std::find(key.begin(), key.end(), 0u) != key.end()) {
-        torn_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      observed.push_back(std::move(key));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(agg_mu_);
-    for (auto& key : observed) ++stacks_[std::move(key)];
-  }
-  samples_.fetch_add(observed.size(), std::memory_order_relaxed);
-  passes_.fetch_add(1, std::memory_order_relaxed);
-  g_last_pass_ns.store(NowNs(), std::memory_order_relaxed);
-}
-
-uint64_t Profiler::samples() const {
-  return samples_.load(std::memory_order_relaxed);
-}
-
-uint64_t Profiler::sample_passes() const {
-  return passes_.load(std::memory_order_relaxed);
-}
-
-uint64_t Profiler::torn_samples() const {
-  return torn_.load(std::memory_order_relaxed);
+uint64_t Profiler::spans() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return spans_;
 }
 
 void Profiler::Reset() {
-  std::lock_guard<std::mutex> lock(agg_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   stacks_.clear();
-  samples_.store(0, std::memory_order_relaxed);
-  passes_.store(0, std::memory_order_relaxed);
-  torn_.store(0, std::memory_order_relaxed);
+  spans_ = 0;
+}
+
+std::map<std::string, uint64_t> Profiler::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stacks_;
 }
 
 std::vector<FoldedStack> Profiler::Folded() const {
-  std::map<std::vector<uint32_t>, uint64_t> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(agg_mu_);
-    snapshot = stacks_;
-  }
-  std::map<std::string, uint64_t> resolved;
-  for (const auto& [ids, count] : snapshot) {
-    std::string line;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (i) line += ';';
-      // Folded-stack lines are ";"-joined frames followed by a space and the
-      // count; span names like "fit numeric(score)" would corrupt that
-      // grammar, so delimiter characters become underscores here.
-      for (char c : NameForId(ids[i])) {
-        line += (c == ' ' || c == ';' || c == '\t' || c == '\n') ? '_' : c;
-      }
-    }
-    resolved[line] += count;
-  }
   std::vector<FoldedStack> out;
-  out.reserve(resolved.size());
-  for (auto& [stack, count] : resolved) out.push_back({stack, count});
+  for (auto& [stack, count] : Snapshot()) out.push_back({stack, count});
   return out;
 }
 
-std::string Profiler::FoldedStacks() const {
-  std::string out;
-  for (const FoldedStack& folded : Folded()) {
-    out += folded.stack;
-    out += ' ';
-    out += StrFormat("%llu", static_cast<unsigned long long>(folded.count));
-    out += '\n';
-  }
-  return out;
-}
+std::string Profiler::FoldedStacks() const { return FoldedLines(Snapshot()); }
 
 std::vector<FlatFrame> Profiler::Flat() const {
-  std::map<std::vector<uint32_t>, uint64_t> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(agg_mu_);
-    snapshot = stacks_;
-  }
   std::map<std::string, FlatFrame> frames;
-  for (const auto& [ids, count] : snapshot) {
+  for (const auto& [stack, count] : Snapshot()) {
+    // Frames are escaped, so ';' splits the path exactly. A frame that
+    // recurses counts once towards its total.
     std::set<std::string> on_stack;
-    for (uint32_t id : ids) on_stack.insert(NameForId(id));
-    for (const std::string& name : on_stack) {
-      FlatFrame& frame = frames[name];
-      frame.name = name;
-      frame.total += count;
+    std::istringstream path(stack);
+    for (std::string frame; std::getline(path, frame, ';');) {
+      on_stack.insert(frame);
     }
-    if (!ids.empty()) frames[NameForId(ids.back())].self += count;
+    for (const std::string& name : on_stack) frames[name].total += count;
+    frames[stack.substr(stack.rfind(';') + 1)].self += count;  // the leaf
   }
   std::vector<FlatFrame> out;
   out.reserve(frames.size());
-  for (auto& [name, frame] : frames) out.push_back(frame);
+  for (auto& [name, frame] : frames) {
+    frame.name = name;
+    out.push_back(frame);
+  }
   std::sort(out.begin(), out.end(), [](const FlatFrame& a, const FlatFrame& b) {
     if (a.self != b.self) return a.self > b.self;
     return a.name < b.name;
@@ -396,15 +115,13 @@ std::vector<FlatFrame> Profiler::Flat() const {
 
 std::string Profiler::ToText() const {
   std::ostringstream os;
-  os << "profiler: " << samples() << " samples over " << sample_passes()
-     << " passes (" << torn_samples() << " torn), interval "
-     << options_.sampling_interval_us << " us, "
+  os << "profiler: " << spans() << " spans, exact self time in us, "
      << (running() ? "running" : "stopped") << "\n";
   std::vector<FlatFrame> flat = Flat();
   if (flat.empty()) {
-    os << "(no samples; is telemetry enabled and the profiler started?)\n";
+    os << "(no spans; is telemetry enabled and the profiler started?)\n";
   } else {
-    os << StrFormat("%10s %10s  %s\n", "self", "total", "span");
+    os << StrFormat("%10s %10s  %s\n", "self_us", "total_us", "span");
     for (const FlatFrame& frame : flat) {
       os << StrFormat("%10llu %10llu  %s\n",
                       static_cast<unsigned long long>(frame.self),
@@ -446,13 +163,12 @@ std::string Profiler::ToJson(size_t max_stacks) const {
             });
 
   std::ostringstream os;
+  uint64_t spans_seen = spans();
   os << "{\"enabled\":"
-     << ((running() || samples() > 0) ? "true" : "false")
+     << ((running() || spans_seen > 0) ? "true" : "false")
      << ",\"running\":" << (running() ? "true" : "false")
-     << ",\"sampling_interval_us\":" << options_.sampling_interval_us
-     << ",\"samples\":" << samples() << ",\"sample_passes\":"
-     << sample_passes() << ",\"torn_samples\":" << torn_samples()
-     << ",\"unique_stacks\":" << total_stacks << ",\"folded\":[";
+     << ",\"spans\":" << spans_seen << ",\"unique_stacks\":" << total_stacks
+     << ",\"folded\":[";
   bool first = true;
   for (const FoldedStack& stack : folded) {
     if (!first) os << ",";

@@ -2,12 +2,10 @@
 #define NDE_TELEMETRY_PROFILER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,40 +14,37 @@
 namespace nde {
 namespace telemetry {
 
-/// In-process sampling profiler + allocation accounting.
+/// In-process span profiler + allocation accounting.
 ///
-/// Sampling mode: a background thread periodically snapshots every worker's
-/// thread-local stack of open trace spans (fed by the NDE_TRACE_SPAN macros)
-/// and aggregates the observations into folded stacks ("a;b;c count" lines,
-/// directly consumable by flamegraph.pl / speedscope) plus a flat
-/// self/total-time table. Sampling is purely observational: it reads
-/// atomics published by the span RAII objects and never feeds anything back,
-/// so estimates are bit-identical with the profiler on or off.
+/// The profiler reuses the NDE_TRACE_SPAN spans as its call-stack model and
+/// is exact, not sampled: while it runs, every span that opens links to the
+/// innermost profiled span still open on its thread, and when it closes it
+/// adds its self time (its duration minus its children's) in microseconds
+/// under its root-to-leaf path. The aggregate renders as folded stacks
+/// ("a;b;c self_us" lines, directly consumable by flamegraph.pl /
+/// speedscope) plus a flat self/total table. A span shows up in the profile
+/// when it closes, never while it is still open. Profiling is purely
+/// observational, so estimates are bit-identical with the profiler on or off.
 ///
 /// Zero-cost-when-off contract, matching the rest of telemetry/:
-///   - compiled out (NDE_TELEMETRY=OFF): no spans open, so no frames are ever
-///     pushed; the classes remain so call sites compile.
-///   - compiled in, profiler stopped: each span open/close pays one relaxed
-///     atomic load on top of the existing telemetry gate.
-///   - running: span open/close additionally interns the span name and
-///     updates the thread's lock-free frame stack.
-struct ProfilerOptions {
-  /// Wall-clock gap between sampling passes. 1 ms (~1 kHz) resolves spans of
-  /// a few ms and costs well under 1% of one core.
-  int64_t sampling_interval_us = 1000;
-};
+///   - compiled out (NDE_TELEMETRY=OFF): no spans open, so nothing is
+///     aggregated; the classes remain so call sites compile.
+///   - compiled in, profiler stopped: each span open pays one relaxed atomic
+///     load on top of the existing telemetry gate.
+///   - running: each span close additionally builds its path and takes the
+///     profile's mutex once.
 
 /// One aggregated folded stack: root-to-leaf span names joined with ';'.
 struct FoldedStack {
   std::string stack;
-  uint64_t count = 0;
+  uint64_t count = 0;  ///< self time of spans closed on this path, in us
 };
 
-/// Per-frame flat aggregation over every sample.
+/// Per-frame flat aggregation over every folded stack.
 struct FlatFrame {
   std::string name;
-  uint64_t self = 0;   ///< samples where this frame was the leaf
-  uint64_t total = 0;  ///< samples where this frame was anywhere on the stack
+  uint64_t self = 0;   ///< us spent with this frame as the leaf
+  uint64_t total = 0;  ///< us spent with this frame anywhere on the stack
 };
 
 class Profiler {
@@ -59,92 +54,57 @@ class Profiler {
   Profiler() = default;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
-  ~Profiler();
 
-  /// Starts the background sampler. Fails if already running. Spans only
-  /// exist while `telemetry::SetEnabled(true)`, so callers normally enable
+  /// Starts aggregating spans. Fails if already running. Spans only exist
+  /// while `telemetry::SetEnabled(true)`, so callers normally enable
   /// telemetry first (the CLI's --profile does both).
-  Status Start(const ProfilerOptions& options = {});
+  Status Start();
 
-  /// Stops the sampler thread; aggregated samples are kept for readout.
-  /// Safe to call twice or when never started.
+  /// Stops aggregating; the profile is kept for readout. Spans that close
+  /// after Stop are not added. Safe to call twice or when never started.
   void Stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return running_.load(std::memory_order_relaxed); }
 
-  /// Runs one synchronous sampling pass on the caller's thread. Used by
-  /// tests for deterministic coverage and usable while stopped.
-  void SampleOnce();
+  /// Adds `self_us` under `stack` (a ';'-joined path of folded frames).
+  /// ScopedSpan calls this when a profiled span closes.
+  void Record(const std::string& stack, uint64_t self_us);
 
-  /// Total stack observations aggregated so far (one per thread with at
-  /// least one open span, per sampling pass).
-  uint64_t samples() const;
-  /// Number of sampling passes (clock ticks) so far.
-  uint64_t sample_passes() const;
-  /// Samples discarded because a stack mutated mid-read (seqlock retry).
-  uint64_t torn_samples() const;
+  /// Spans aggregated so far.
+  uint64_t spans() const;
 
-  /// Drops all aggregated samples (the interval and running state are kept).
+  /// Drops the aggregated profile (the running state is kept).
   void Reset();
 
-  int64_t sampling_interval_us() const {
-    return options_.sampling_interval_us;
-  }
-
-  /// Folded-stack lines "name;name;name count\n", sorted by stack so two
+  /// Folded-stack lines "name;name;name self_us\n", sorted by stack so two
   /// dumps diff cleanly. Feed straight into flamegraph.pl or speedscope.
   std::string FoldedStacks() const;
 
   /// The same aggregation as structured data (sorted by stack).
   std::vector<FoldedStack> Folded() const;
 
-  /// Per-frame self/total sample counts, sorted by self descending (ties by
+  /// Per-frame self/total microseconds, sorted by self descending (ties by
   /// name) — the "where does the time actually go" table.
   std::vector<FlatFrame> Flat() const;
 
-  /// Human-readable flat table plus allocation-accounting summary; the
-  /// /profilez endpoint and `nde_cli --profile` stderr summary both use it.
+  /// Human-readable flat table plus allocation-accounting summary, served by
+  /// /profilez.
   std::string ToText() const;
 
   /// JSON object for RunReport's "profile" block:
-  /// {"enabled":...,"samples":...,"sampling_interval_us":...,
+  /// {"enabled":...,"running":...,"spans":...,"unique_stacks":...,
   ///  "folded":[{"stack":...,"count":...}],"flat":[...],"alloc":{...}}.
   /// Folded stacks are capped to the top `max_stacks` by count.
   std::string ToJson(size_t max_stacks = 25) const;
 
  private:
-  void Run();
+  std::map<std::string, uint64_t> Snapshot() const;
 
-  ProfilerOptions options_;
   std::atomic<bool> running_{false};
-  std::thread thread_;
-  mutable std::mutex cv_mu_;
-  std::condition_variable cv_;
-
-  mutable std::mutex agg_mu_;
-  /// Aggregated samples: interned-frame-id stack (root first) -> count.
-  std::map<std::vector<uint32_t>, uint64_t> stacks_;
-  std::atomic<uint64_t> samples_{0};
-  std::atomic<uint64_t> passes_{0};
-  std::atomic<uint64_t> torn_{0};
+  mutable std::mutex mu_;
+  std::map<std::string, uint64_t> stacks_;  ///< folded path -> self us
+  uint64_t spans_ = 0;
 };
-
-namespace prof {
-
-/// True while any Profiler instance is sampling (one relaxed atomic load);
-/// ScopedSpan consults this before paying the frame-stack cost.
-bool SamplingActive();
-
-/// Pushes/pops one frame on the calling thread's span stack. Called by
-/// ScopedSpan when SamplingActive(); PopFrame must pair a successful
-/// PushFrame (ScopedSpan tracks this so sampling can toggle mid-span).
-void PushFrame(const std::string& name);
-void PopFrame();
-
-/// Current span-stack depth of the calling thread (test hook).
-uint32_t LocalDepthForTesting();
-
-}  // namespace prof
 
 // ---------------------------------------------------------------------------
 // Allocation accounting

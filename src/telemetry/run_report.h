@@ -83,7 +83,7 @@ class RunReport {
   ///  "convergence_curve":[{...}],"metrics":{...},"utility_cache":{...},
   ///  "profile":{...},"trace":{...}}
   /// The "profile" block is Profiler::ToJson() captured at Finish() time; its
-  /// "enabled" field is false (and its aggregates empty) when the sampling
+  /// "enabled" field is false (and its aggregates empty) when the span
   /// profiler never ran.
   std::string ToJson();
 

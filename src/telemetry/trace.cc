@@ -31,6 +31,8 @@ uint32_t NextThreadId() {
 }
 
 thread_local uint32_t t_span_depth = 0;
+/// Innermost profiled span open on this thread (see ScopedSpan).
+thread_local ScopedSpan* t_profiled_span = nullptr;
 
 }  // namespace
 
@@ -209,7 +211,7 @@ std::string TraceBuffer::FoldedForTrace(uint64_t trace_id_hi,
       children_us[event->parent_span_id] += event->dur_us;
     }
   }
-  std::map<std::string, int64_t> folded;  // sorted -> deterministic output
+  std::map<std::string, uint64_t> folded;  // sorted -> deterministic output
   for (const TraceEvent* event : in_trace) {
     // Walk parent pointers to the root; spans whose parent fell outside the
     // buffer (or outside the trace) become roots of their own stacks.
@@ -224,21 +226,14 @@ std::string TraceBuffer::FoldedForTrace(uint64_t trace_id_hi,
     }
     std::string stack;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      if (!stack.empty()) stack += ";";
-      stack += (*it)->name;
+      AppendFoldedFrame(stack, (*it)->name);
     }
     int64_t self_us = event->dur_us;
     auto consumed = children_us.find(event->span_id);
-    if (consumed != children_us.end()) {
-      self_us = std::max<int64_t>(0, self_us - consumed->second);
-    }
-    folded[stack] += self_us;
+    if (consumed != children_us.end()) self_us -= consumed->second;
+    folded[stack] += static_cast<uint64_t>(std::max<int64_t>(0, self_us));
   }
-  std::ostringstream os;
-  for (const auto& [stack, self_us] : folded) {
-    os << stack << " " << self_us << "\n";
-  }
-  return os.str();
+  return FoldedLines(folded);
 }
 
 ScopedSpan::ScopedSpan(std::string name, std::string category)
@@ -260,11 +255,10 @@ ScopedSpan::ScopedSpan(std::string name, std::string category)
   event_.span_id = MintSpanId();
   saved_span_id_ = context->span_id;
   context->span_id = event_.span_id;
-  // Publish the frame to the sampling profiler before reading the clock, so
-  // a sample taken during the span sees the full stack.
-  if (prof::SamplingActive()) {
-    prof::PushFrame(event_.name);
-    pushed_ = true;
+  if (Profiler::Global().running()) {
+    profiled_ = true;
+    profiled_parent_ = t_profiled_span;
+    t_profiled_span = this;
   }
   event_.ts_us = NowMicros();
 }
@@ -272,10 +266,29 @@ ScopedSpan::ScopedSpan(std::string name, std::string category)
 ScopedSpan::~ScopedSpan() {
   if (!active_) return;
   event_.dur_us = NowMicros() - event_.ts_us;
-  if (pushed_) prof::PopFrame();
+  if (profiled_) {
+    t_profiled_span = profiled_parent_;
+    if (profiled_parent_ != nullptr) {
+      profiled_parent_->children_us_ += event_.dur_us;
+    }
+    Profiler& profiler = Profiler::Global();
+    if (profiler.running()) {
+      std::string stack;
+      AppendProfiledPath(stack);
+      // Spans nest on one monotonic clock, so children never outlast their
+      // parent; the clamp only guards the unsigned conversion.
+      profiler.Record(stack, static_cast<uint64_t>(std::max<int64_t>(
+                                 0, event_.dur_us - children_us_)));
+    }
+  }
   nde::internal::MutableCurrentTraceContext()->span_id = saved_span_id_;
   --t_span_depth;
   TraceBuffer::Global().Record(std::move(event_));
+}
+
+void ScopedSpan::AppendProfiledPath(std::string& stack) const {
+  if (profiled_parent_ != nullptr) profiled_parent_->AppendProfiledPath(stack);
+  AppendFoldedFrame(stack, event_.name);
 }
 
 void ScopedSpan::AddArg(const std::string& key, int64_t value) {
@@ -296,6 +309,24 @@ void ScopedSpan::AddArg(const std::string& key, const std::string& value) {
 double ScopedSpan::ElapsedMs() const {
   if (!active_) return 0.0;
   return static_cast<double>(NowMicros() - event_.ts_us) / 1000.0;
+}
+
+void AppendFoldedFrame(std::string& stack, const std::string& frame) {
+  if (!stack.empty()) stack += ';';
+  for (char c : frame) {
+    stack += (c == ' ' || c == ';' || c == '\t' || c == '\n') ? '_' : c;
+  }
+}
+
+std::string FoldedLines(const std::map<std::string, uint64_t>& stacks) {
+  std::string out;
+  for (const auto& [stack, count] : stacks) {
+    out += stack;
+    out += ' ';
+    out += std::to_string(count);
+    out += '\n';
+  }
+  return out;
 }
 
 std::string JsonEscape(const std::string& text) {

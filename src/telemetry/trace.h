@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -79,7 +80,8 @@ class TraceBuffer {
 
   /// Flamegraph-compatible folded stacks for one trace: each line is
   /// "root;child;...;leaf <self_us>" built from span parent linkage, with
-  /// identical stacks merged and lines sorted (deterministic output).
+  /// identical stacks merged and lines sorted (deterministic output). Frames
+  /// are escaped as by AppendFoldedFrame, so every line has two fields.
   /// Feed to flamegraph.pl or speedscope. Empty string when the buffer has
   /// no spans for the trace.
   std::string FoldedForTrace(uint64_t trace_id_hi, uint64_t trace_id_lo) const;
@@ -121,11 +123,18 @@ class ScopedSpan {
   bool active() const { return active_; }
 
  private:
+  /// Appends the folded path root;...;this of the profiled-span chain.
+  void AppendProfiledPath(std::string& stack) const;
+
   bool active_;
-  /// Whether this span pushed a frame onto the profiler's per-thread stack
-  /// (sampling can start or stop mid-span, so the pop must match the push,
-  /// not the state at destruction time).
-  bool pushed_ = false;
+  /// Whether this span linked into its thread's profiled-span chain
+  /// (profiling can start or stop mid-span, so the unlink must match the
+  /// link, not the state at destruction time).
+  bool profiled_ = false;
+  /// The innermost profiled span open on this thread when this one opened.
+  ScopedSpan* profiled_parent_ = nullptr;
+  /// Summed duration of the profiled children closed so far.
+  int64_t children_us_ = 0;
   /// The thread's previous current-span id, restored at destruction.
   uint64_t saved_span_id_ = 0;
   TraceEvent event_;
@@ -133,6 +142,15 @@ class ScopedSpan {
 
 /// Escapes a string for embedding in a JSON string literal (no quotes added).
 std::string JsonEscape(const std::string& text);
+
+/// Appends `frame` to a folded-stack path ("root;child;leaf", the
+/// flamegraph.pl grammar both Profiler and FoldedForTrace emit): a ';'
+/// separator unless `stack` is empty, then the name with the grammar's
+/// delimiters (space, ';', tab, newline) replaced by '_'.
+void AppendFoldedFrame(std::string& stack, const std::string& frame);
+
+/// Renders folded stacks as "stack count\n" lines, in stack order.
+std::string FoldedLines(const std::map<std::string, uint64_t>& stacks);
 
 }  // namespace telemetry
 }  // namespace nde

@@ -155,12 +155,10 @@ grep -q -- "--serve" err.txt || fail "--serve error does not name the flag"
 [ $? -eq 2 ] || fail "value-less --report should exit 2"
 
 # --- --profile: folded stacks, report block, bit-identical ranking -----------
-# 256 permutations keep the estimator busy for tens of milliseconds, so the
-# fast CLI sampler is guaranteed observations.
 "$CLI" importance train.csv --label label --top 5 --permutations 256 \
     --profile prof.folded --report prof_report.json \
     > prof_out.txt 2> prof_err.txt || fail "--profile importance failed"
-grep -q "wrote .* profile samples" prof_err.txt \
+grep -q "wrote .* profile spans" prof_err.txt \
     || fail "--profile did not announce the profile file"
 grep -q '"profile":{' prof_report.json \
     || fail "report lacks the profile block under --profile"

@@ -649,9 +649,7 @@ TEST(DeterminismTest, ProfilerAndAllocAccountingDoNotPerturbResults) {
 
   telemetry::SetEnabled(true);
   telemetry::SetAllocAccountingEnabled(true);
-  telemetry::ProfilerOptions prof_options;
-  prof_options.sampling_interval_us = 100;  // Aggressive: ~10 kHz.
-  ASSERT_TRUE(telemetry::Profiler::Global().Start(prof_options).ok());
+  ASSERT_TRUE(telemetry::Profiler::Global().Start().ok());
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
     telemetry::AllocationScope scope("determinism.sweep");

@@ -135,9 +135,11 @@ TEST(HttpExporterRoutingTest, VarzMergesFailpointCounters) {
 TEST(HttpExporterRoutingTest, ProfilezServesTextAndFoldedStacks) {
   telemetry::Profiler& profiler = telemetry::Profiler::Global();
   profiler.Reset();
-  telemetry::prof::PushFrame("profilez_frame");
-  profiler.SampleOnce();
-  telemetry::prof::PopFrame();
+  telemetry::SetEnabled(true);
+  ASSERT_TRUE(profiler.Start().ok());
+  { telemetry::ScopedSpan span("profilez_frame"); }
+  profiler.Stop();
+  telemetry::SetEnabled(false);
 
   std::string response =
       telemetry::HttpExporter::HandleRequest("GET /profilez HTTP/1.1");
@@ -150,9 +152,15 @@ TEST(HttpExporterRoutingTest, ProfilezServesTextAndFoldedStacks) {
   std::string folded = telemetry::HttpExporter::HandleRequest(
       "GET /profilez?folded=1 HTTP/1.1");
   EXPECT_EQ(folded.rfind("HTTP/1.1 200", 0), 0u) << folded;
-  EXPECT_NE(Body(folded).find("profilez_frame 1"), std::string::npos)
-      << Body(folded);
+  std::string body = Body(folded);
+  ASSERT_EQ(body.rfind("profilez_frame ", 0), 0u) << body;
+  ASSERT_EQ(body.back(), '\n') << body;
+  std::string count = body.substr(std::string("profilez_frame ").size());
+  count.pop_back();
+  EXPECT_FALSE(count.empty()) << body;
+  EXPECT_EQ(count.find_first_not_of("0123456789"), std::string::npos) << body;
   profiler.Reset();
+  telemetry::TraceBuffer::Global().Clear();
 }
 
 TEST(HttpExporterRoutingTest, UnknownPathIs404AndNonGetIs405) {
@@ -186,13 +194,11 @@ TEST(HttpExporterTest, ServesScrapesWhileAnEstimatorRuns) {
   uint16_t port = exporter.port();
   ASSERT_NE(port, 0);
 
-  // Profile the run too: spans only exist with telemetry on, and the sampler
-  // must be live for ScopedSpan to push frames.
+  // Profile the run too: spans only exist with telemetry on, and the
+  // profiler must be running for ScopedSpan to aggregate them.
   telemetry::SetEnabled(true);
   telemetry::Profiler::Global().Reset();
-  telemetry::ProfilerOptions prof_options;
-  prof_options.sampling_interval_us = 100;  // Fast: the run lasts ~tens of ms.
-  ASSERT_TRUE(telemetry::Profiler::Global().Start(prof_options).ok());
+  ASSERT_TRUE(telemetry::Profiler::Global().Start().ok());
 
   // A deliberately slow game keeps the estimator busy on another thread
   // while we scrape.
@@ -201,8 +207,8 @@ TEST(HttpExporterTest, ServesScrapesWhileAnEstimatorRuns) {
     double Evaluate(const std::vector<size_t>& subset) const override {
       double sum = 0.0;
       for (size_t i : subset) sum += static_cast<double>(i + 1);
-      // Slow enough that the whole estimate spans tens of milliseconds: the
-      // scrapes below land mid-run and the 100 us sampler sees the waves.
+      // Slow enough that the whole estimate spans tens of milliseconds, so
+      // the scrapes below land mid-run.
       for (int spin = 0; spin < 2000; ++spin) {
         sum = std::sqrt(sum * sum + 1e-9);
       }
@@ -227,8 +233,8 @@ TEST(HttpExporterTest, ServesScrapesWhileAnEstimatorRuns) {
   EXPECT_EQ(metrics.rfind("HTTP/1.1 200", 0), 0u);
   EXPECT_NE(Body(metrics).find("# TYPE"), std::string::npos);
 
-  // /profilez answers mid-run; with a live estimator it may or may not have
-  // caught a wave yet, so only the transport and shape are asserted here.
+  // /profilez answers mid-run; a wave appears only once it closes, so only
+  // the transport and shape are asserted here.
   std::string profilez = HttpGet(port, "/profilez");
   EXPECT_EQ(profilez.rfind("HTTP/1.1 200", 0), 0u) << profilez;
   EXPECT_EQ(Body(profilez).rfind("profiler:", 0), 0u) << Body(profilez);
@@ -240,9 +246,8 @@ TEST(HttpExporterTest, ServesScrapesWhileAnEstimatorRuns) {
   EXPECT_EQ(estimate.values.size(), 12u);
   telemetry::Profiler::Global().Stop();
 #if NDE_TELEMETRY_ENABLED
-  // 96 sequential waves of a deliberately slow game run long enough that the
-  // 1 ms sampler observes at least one tmc wave span. (Without telemetry
-  // compiled in there are no spans to observe.)
+  // Every tmc wave span closed while profiling, so the exact profile holds
+  // them. (Without telemetry compiled in there are no spans to observe.)
   EXPECT_NE(telemetry::Profiler::Global().FoldedStacks().find("tmc"),
             std::string::npos)
       << telemetry::Profiler::Global().FoldedStacks();

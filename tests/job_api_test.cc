@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -582,6 +583,41 @@ TEST(JobApiTest, JobsWithoutIngressContextMintTheirOwnTrace) {
   EXPECT_TRUE(done.trace.has_trace());
   EXPECT_EQ(done.trace.job_id, id);
   EXPECT_EQ(done.trace.algorithm, "knn_shapley");
+}
+
+TEST(JobApiHttpTest, FoldedTraceEscapesDelimitersInColumnNames) {
+  telemetry::SetEnabled(true);
+  telemetry::TraceBuffer::Global().Clear();
+  JobManager manager;
+  // The column name carries both folded-stack delimiters (';' and space);
+  // it reaches span names such as "fit numeric(x;y z)".
+  JobRequest request = QuickRequest();
+  request.csv_data = "x;y z,label\n";
+  for (int i = 0; i < 40; ++i) {
+    request.csv_data += std::to_string(i % 2 == 0 ? i : -i) + "," +
+                        std::to_string(i % 2) + "\n";
+  }
+  std::string id = manager.Submit(request).value();
+  JobSnapshot done = AwaitDone(manager, id);
+  ASSERT_EQ(done.state, JobState::kDone) << done.error.ToString();
+
+  std::string folded = Body(
+      manager.HandleHttp(Request("GET", "/jobs/" + id + "/tracez?folded=1")));
+  telemetry::SetEnabled(false);
+  telemetry::TraceBuffer::Global().Clear();
+#if NDE_TELEMETRY_ENABLED
+  EXPECT_NE(folded.find("fit_numeric(x_y_z)"), std::string::npos) << folded;
+#endif
+  std::istringstream lines(folded);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string stack, count, extra;
+    ASSERT_TRUE(fields >> stack >> count) << line;
+    EXPECT_FALSE(fields >> extra) << "more than two fields: " << line;
+    EXPECT_EQ(count.find_first_not_of("0123456789"), std::string::npos)
+        << "count is not an integer: " << line;
+  }
 }
 
 // --- Finished-job retention -------------------------------------------------

@@ -13,6 +13,8 @@
 #include "common/status.h"
 #include "common/trace_context.h"
 #include "importance/subset_cache.h"
+#include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 
 namespace nde {
 namespace {
@@ -313,6 +315,31 @@ TEST(ParallelForTest, BodiesInheritTheCallersTraceContext) {
       4, "ctx_test");
   EXPECT_EQ(std::count(attributed.begin(), attributed.end(), 1),
             static_cast<ptrdiff_t>(attributed.size()));
+}
+
+TEST(ParallelForTest, LabelNamesOnlyTheCoordinatorSpan) {
+#if !NDE_TELEMETRY_ENABLED
+  GTEST_SKIP() << "ParallelFor's spans compile to nothing in this build";
+#endif
+  telemetry::SetEnabled(true);
+  telemetry::TraceBuffer::Global().Clear();
+  ASSERT_EQ(ParallelFor(0, 8, [](size_t) {}, 4, "label_span_test"), 4u);
+  telemetry::SetEnabled(false);
+  size_t labelled = 0, workers = 0;
+  for (const telemetry::TraceEvent& event :
+       telemetry::TraceBuffer::Global().Snapshot()) {
+    if (event.name == "label_span_test") ++labelled;
+    if (event.name != "parallel_worker") continue;
+    ++workers;
+    bool has_label = false;
+    for (const auto& [key, value] : event.args) {
+      has_label |= key == "label" && value == "\"label_span_test\"";
+    }
+    EXPECT_TRUE(has_label) << "worker span lacks its label arg";
+  }
+  telemetry::TraceBuffer::Global().Clear();
+  EXPECT_EQ(labelled, 1u);
+  EXPECT_EQ(workers, 4u);
 }
 
 TEST(TryParallelForTest, MapsBodyExceptionToInternalStatus) {

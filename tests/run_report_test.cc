@@ -13,6 +13,7 @@
 #include "importance/utility.h"
 #include "json_checker.h"
 #include "telemetry/profiler.h"
+#include "telemetry/trace.h"
 
 namespace nde {
 namespace {
@@ -92,7 +93,7 @@ TEST(RunReportTest, ToJsonIsWellFormedAndFinishIsIdempotent) {
   }
 }
 
-TEST(RunReportTest, ProfileBlockReflectsTheSamplingProfiler) {
+TEST(RunReportTest, ProfileBlockReflectsTheSpanProfiler) {
   // Without a profiler run the block is present but disabled…
   {
     telemetry::Profiler::Global().Reset();
@@ -102,19 +103,24 @@ TEST(RunReportTest, ProfileBlockReflectsTheSamplingProfiler) {
     EXPECT_NE(json.find("\"profile\":{\"enabled\":false"), std::string::npos)
         << json;
   }
-  // …and with samples aggregated it carries them, inside valid JSON.
+  // …and with spans aggregated it carries them, inside valid JSON.
   {
-    telemetry::prof::PushFrame("report_frame");
-    telemetry::Profiler::Global().SampleOnce();
-    telemetry::prof::PopFrame();
+    telemetry::SetEnabled(true);
+    ASSERT_TRUE(telemetry::Profiler::Global().Start().ok());
+    { telemetry::ScopedSpan span("report_frame"); }
+    telemetry::Profiler::Global().Stop();
+    telemetry::SetEnabled(false);
     telemetry::RunReport report("with_profile");
     std::string json = report.ToJson();
     EXPECT_TRUE(JsonChecker(json).Valid()) << json;
     EXPECT_NE(json.find("\"profile\":{\"enabled\":true"), std::string::npos)
         << json;
-    EXPECT_NE(json.find("report_frame"), std::string::npos) << json;
+    EXPECT_NE(json.find("{\"stack\":\"report_frame\",\"count\":"),
+              std::string::npos)
+        << json;
     EXPECT_NE(json.find("\"alloc\":"), std::string::npos) << json;
     telemetry::Profiler::Global().Reset();
+    telemetry::TraceBuffer::Global().Clear();
   }
 }
 

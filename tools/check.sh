@@ -4,8 +4,8 @@
 #
 #   tools/check.sh [build-dir]         # ASan+UBSan, full suite
 #                                      # (default build dir: build-asan)
-#   tools/check.sh --tsan [build-dir]  # ThreadSanitizer, parallel-runtime and
-#                                      # determinism tests only
+#   tools/check.sh --tsan [build-dir]  # ThreadSanitizer, parallel-runtime,
+#                                      # profiler and determinism tests only
 #                                      # (default build dir: build-tsan)
 #   tools/check.sh --bench-smoke [build-dir]
 #                                      # Release build; runs the scalability
@@ -743,13 +743,15 @@ if [ "$MODE" = "tsan" ]; then
   # The thread-heavy suites: pool lifecycle, ParallelFor (including the
   # SubsetCache concurrency hammer), the estimators' cross-thread
   # determinism contract over the cached/warm-started utilities, the
-  # registry/job-API serving layer (worker pool + HTTP cancellation), and
-  # the generative property suites (thread-sweep and fast-path-config
-  # invariants fan work across pools) on a small case budget — TSan costs
-  # 5-15x, so the default 100-case budgets would dominate the run.
+  # registry/job-API serving layer (worker pool + HTTP cancellation), the
+  # span profiler (every pool worker's closing spans write its one
+  # aggregate), and the generative property suites (thread-sweep and
+  # fast-path-config invariants fan work across pools) on a small case
+  # budget — TSan costs 5-15x, so the default 100-case budgets would
+  # dominate the run.
   NDE_PROP_CASES="${NDE_PROP_CASES:-10}" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R "determinism|parallel|importance|registry|job_api|proptest"
+      -R "determinism|parallel|importance|registry|job_api|proptest|profiler"
   echo "check.sh: parallel suites passed under TSan"
 else
   # Full suite, including the property label at a reduced generative budget

@@ -53,13 +53,14 @@
 //                        ephemeral port, announced on stderr)
 //   --report <out.json>  write a JSON run report (invocation config, timing,
 //                        convergence curve, metrics, top trace spans)
-//   --profile <out.folded>  run the sampling profiler + allocation accounting
+//   --profile <out.folded>  run the span profiler + allocation accounting
 //                        for the whole command and write folded stacks
-//                        (flamegraph input: one "frame;frame count" line per
-//                        unique stack) to the file; a profile summary also
-//                        lands in --report and on /profilez under --serve.
-//                        Purely observational: results are bit-identical with
-//                        or without it.
+//                        (flamegraph input: one "frame;frame self_us" line per
+//                        unique stack, exact self microseconds of the spans
+//                        closed on that path) to the file; a profile summary
+//                        also lands in --report and on /profilez under
+//                        --serve. Purely observational: results are
+//                        bit-identical with or without it.
 //   --log-level <level>  debug|info|warning|error (default warning); info
 //                        enables live progress/ETA lines for estimators
 //   --log-json           emit log lines as JSON objects instead of text
@@ -647,9 +648,9 @@ int Usage() {
   return 2;
 }
 
-/// Stops the sampling profiler and writes its folded stacks (flamegraph
-/// input) to `path`. A short summary goes to stderr so the user can tell an
-/// empty profile (run too short to sample) from a failed write.
+/// Stops the span profiler and writes its folded stacks (flamegraph input)
+/// to `path`. A short summary goes to stderr so the user can tell an empty
+/// profile (no spans recorded) from a failed write.
 int WriteProfile(const std::string& path) {
   telemetry::Profiler& profiler = telemetry::Profiler::Global();
   profiler.Stop();
@@ -659,8 +660,8 @@ int WriteProfile(const std::string& path) {
   std::fwrite(folded.data(), 1, folded.size(), f);
   std::fclose(f);
   std::fprintf(stderr,
-               "wrote %llu profile samples (%zu unique stacks) to %s\n",
-               static_cast<unsigned long long>(profiler.samples()),
+               "wrote %llu profile spans (%zu unique stacks) to %s\n",
+               static_cast<unsigned long long>(profiler.spans()),
                profiler.Folded().size(), path.c_str());
   return 0;
 }
@@ -757,11 +758,7 @@ int Main(int argc, char** argv) {
   if (!profile_path.empty()) {
     // Profiling needs span events, so it implies telemetry (enabled above).
     telemetry::SetAllocAccountingEnabled(true);
-    telemetry::ProfilerOptions prof_options;
-    // CLI invocations are often short (milliseconds); sample fast enough
-    // that even a small run yields a usable profile.
-    prof_options.sampling_interval_us = 250;
-    Status prof = telemetry::Profiler::Global().Start(prof_options);
+    Status prof = telemetry::Profiler::Global().Start();
     if (!prof.ok()) return Fail(prof.ToString());
   }
 
@@ -833,7 +830,7 @@ int Main(int argc, char** argv) {
 
   if (!profile_path.empty()) {
     // Stopped (inside WriteProfile) before the report finishes so the
-    // report's "profile" block sees the final sample aggregates.
+    // report's "profile" block sees the final aggregates.
     int profile_code = WriteProfile(profile_path);
     if (code == 0) code = profile_code;
   }
