@@ -39,7 +39,8 @@ size_t PlannedNumThreads(size_t range, size_t num_threads) {
   return std::max<size_t>(1, std::min(ResolveNumThreads(num_threads), range));
 }
 
-ThreadPool::ThreadPool(size_t num_threads) {
+ThreadPool::ThreadPool(size_t num_threads, std::function<void()> on_error)
+    : on_error_(std::move(on_error)) {
   size_t count = ResolveNumThreads(num_threads);
   workers_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -126,8 +127,11 @@ void ThreadPool::WorkerLoop() {
         }
         task();
       } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (first_error_ == nullptr) first_error_ = std::current_exception();
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          if (first_error_ == nullptr) first_error_ = std::current_exception();
+        }
+        if (on_error_) on_error_();
       }
       NDE_METRIC_COUNT("parallel.tasks_executed", 1);
     }
@@ -139,58 +143,135 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+ClaimLoop::ClaimLoop(size_t begin, size_t end,
+                     std::function<void(size_t)> body, size_t threads,
+                     const char* label)
+    : begin_(begin),
+      end_(std::max(begin, end)),
+      body_(std::move(body)),
+      label_(label),
+      limit_(begin),
+      next_(begin),
+      done_(begin) {
+  if (threads <= 1) return;
+  finished_.resize(end_ - begin_);
+  // The pool's error hook only fires for a worker killed before it ran:
+  // Work catches body exceptions itself, to keep their index.
+  pool_ = std::make_unique<ThreadPool>(threads, [this] { Fail(); });
+  for (size_t t = 0; t < threads; ++t) pool_->Submit([this] { Work(); });
+}
+
+ClaimLoop::~ClaimLoop() {
+  if (pool_ == nullptr) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopped_ = true;
+  }
+  claim_cv_.notify_all();
+  pool_.reset();  // Drains: running bodies finish, then the workers join.
+}
+
+void ClaimLoop::Open(size_t limit) {
+  limit = std::min(limit, end_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (limit <= limit_) return;
+    limit_ = limit;
+  }
+  claim_cv_.notify_all();
+}
+
+void ClaimLoop::Wait(size_t upto) {
+  if (pool_ == nullptr) {
+    NDE_CHECK_LE(upto, limit_);
+    if (next_ >= upto) return;
+    // The work a pool worker would do, under the same span name, so the
+    // caller's span around Wait stays the time spent waiting.
+    NDE_TRACE_SPAN_VAR(span, "parallel_worker", "parallel");
+    NDE_SPAN_ARG(span, "label", std::string(label_));
+    while (next_ < upto) body_(next_++);
+    return;
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  NDE_CHECK_LE(upto, limit_);
+  wait_for_ = upto;
+  done_cv_.wait(lock, [&] { return done_ >= upto || failed_; });
+  wait_for_ = 0;
+  if (!failed_ && upto < end_) return;
+  // Claims are over: every index is done, or a failure stopped them. Drain
+  // the workers, which surfaces a worker the pool killed before it ran.
+  lock.unlock();
+  pool_->WaitIdle();
+  lock.lock();
+  // Indices are claimed in order and claimed bodies finish, so a body
+  // failure past this prefix leaves the prefix complete: it surfaces at the
+  // first Wait whose prefix holds it, whatever failed first in wall time.
+  if (failed_at_ < upto) std::rethrow_exception(body_error_);
+}
+
+void ClaimLoop::Work() {
+  // A name of its own, so summing spans by name counts the coordinator's
+  // span once instead of once per worker.
+  NDE_TRACE_SPAN_VAR(worker_span, "parallel_worker", "parallel");
+  NDE_SPAN_ARG(worker_span, "label", std::string(label_));
+  size_t executed = 0;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    claim_cv_.wait(
+        lock, [this] { return stopped_ || next_ < limit_ || next_ == end_; });
+    if (stopped_ || next_ == end_) break;
+    size_t i = next_++;
+    lock.unlock();
+    try {
+      body_(i);
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> guard(mu_);
+        if (i < failed_at_) {
+          failed_at_ = i;
+          body_error_ = std::current_exception();
+        }
+      }
+      Fail();
+      return;
+    }
+    lock.lock();
+    ++executed;
+    finished_[i - begin_] = true;
+    while (done_ < end_ && finished_[done_ - begin_]) ++done_;
+    if (wait_for_ != 0 && done_ >= wait_for_) done_cv_.notify_one();
+  }
+  lock.unlock();
+  NDE_SPAN_ARG(worker_span, "tasks_executed", static_cast<int64_t>(executed));
+}
+
+void ClaimLoop::Fail() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopped_ = true;
+    failed_ = true;
+  }
+  claim_cv_.notify_all();
+  done_cv_.notify_all();
+}
+
 size_t ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body, size_t num_threads,
                    const char* label) {
   if (end <= begin) return 1;
-  size_t range = end - begin;
-  size_t threads = PlannedNumThreads(range, num_threads);
-  if (threads <= 1) {
-    NDE_TRACE_SPAN_VAR(span, label, "parallel");
-    NDE_SPAN_ARG(span, "tasks", static_cast<int64_t>(range));
-    NDE_SPAN_ARG(span, "threads", int64_t{1});
-    for (size_t i = begin; i < end; ++i) body(i);
-    return 1;
-  }
-
+  size_t threads = PlannedNumThreads(end - begin, num_threads);
   NDE_TRACE_SPAN_VAR(span, label, "parallel");
-  NDE_SPAN_ARG(span, "tasks", static_cast<int64_t>(range));
+  NDE_SPAN_ARG(span, "tasks", static_cast<int64_t>(end - begin));
   NDE_SPAN_ARG(span, "threads", static_cast<int64_t>(threads));
-  std::atomic<size_t> next{begin};
-  std::atomic<bool> failed{false};
-  ThreadPool pool(threads);
-  for (size_t t = 0; t < threads; ++t) {
-    pool.Submit([&next, &failed, &body, end, label] {
-      // A name of its own, so summing spans by name counts the coordinator
-      // span once instead of once per worker.
-      NDE_TRACE_SPAN_VAR(worker_span, "parallel_worker", "parallel");
-      NDE_SPAN_ARG(worker_span, "label", std::string(label));
-      size_t executed = 0;
-      for (;;) {
-        if (failed.load(std::memory_order_relaxed)) break;
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= end) break;
-        try {
-          body(i);
-        } catch (...) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;  // Captured by the pool, re-thrown from WaitIdle below.
-        }
-        ++executed;
-      }
-      NDE_SPAN_ARG(worker_span, "tasks_executed",
-                   static_cast<int64_t>(executed));
-    });
-  }
-  pool.WaitIdle();  // Re-throws the first body exception, if any.
+  ClaimLoop loop(begin, end, body, threads, label);
+  loop.Open(end);
+  loop.Wait(end);  // Re-throws the first body exception, if any.
   return threads;
 }
 
-Result<size_t> TryParallelFor(size_t begin, size_t end,
-                              const std::function<void(size_t)>& body,
-                              size_t num_threads, const char* label) {
+Status CaughtExceptionStatus(const char* label) {
   try {
-    return ParallelFor(begin, end, body, num_threads, label);
+    throw;
   } catch (const failpoint::InjectedFault& fault) {
     return fault.status();
   } catch (const std::exception& e) {
@@ -199,6 +280,16 @@ Result<size_t> TryParallelFor(size_t begin, size_t end,
   } catch (...) {
     return Status::Internal(StrFormat(
         "parallel task '%s' failed with a non-exception throw", label));
+  }
+}
+
+Result<size_t> TryParallelFor(size_t begin, size_t end,
+                              const std::function<void(size_t)>& body,
+                              size_t num_threads, const char* label) {
+  try {
+    return ParallelFor(begin, end, body, num_threads, label);
+  } catch (...) {
+    return CaughtExceptionStatus(label);
   }
 }
 

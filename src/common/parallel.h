@@ -2,10 +2,12 @@
 #define NDE_COMMON_PARALLEL_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -62,8 +64,11 @@ size_t PlannedNumThreads(size_t range, size_t num_threads);
 /// workers are pool tasks; the single-thread path runs inline on the caller).
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (0 = DefaultNumThreads()).
-  explicit ThreadPool(size_t num_threads = 0);
+  /// Spawns `num_threads` workers (0 = DefaultNumThreads()). `on_error`, if
+  /// set, runs on the worker right after a task's exception is latched, so a
+  /// caller blocked on state of its own learns that a task died.
+  explicit ThreadPool(size_t num_threads = 0,
+                      std::function<void()> on_error = nullptr);
 
   /// Drains the queue (all submitted tasks run), then joins the workers.
   ~ThreadPool();
@@ -94,33 +99,108 @@ class ThreadPool {
   size_t active_tasks_ = 0;
   bool shutdown_ = false;
   std::exception_ptr first_error_;
+  std::function<void()> on_error_;
+};
+
+/// --- ClaimLoop --------------------------------------------------------------
+
+/// The one claim loop behind ParallelFor and the estimators' wave driver:
+/// runs `body(i)` for i in [begin, end), with indices claimed in increasing
+/// order from a shared cursor, but never at or past a *window limit* the
+/// caller raises with Open(). Wait(upto) blocks until every index below
+/// `upto` has finished, so a caller can fold a finished prefix while the
+/// workers already run the indices after it.
+///
+/// With more than one thread the workers are the tasks of a private
+/// ThreadPool created once per loop; each records one `parallel_worker` span
+/// carrying `label` as an arg. With one thread there is no pool: Wait runs
+/// the indices below `upto` inline on the calling thread, in one
+/// `parallel_worker` span.
+///
+/// Failure: a body exception, or a pool task killed before it ran (the
+/// `threadpool.task` failpoint), stops further claims, and Wait lets the
+/// running bodies finish before it decides. A killed worker fails that Wait
+/// with its fault. A body exception fails the first Wait whose prefix holds
+/// its index (the lowest failed index wins), so a failure past the prefix
+/// surfaces at a later Wait. Wait never blocks on an index that a dead
+/// worker would have run, and the last Wait (upto == end) also reports a
+/// worker killed after the work was done.
+///
+/// The destructor stops claims and drains: bodies already running finish,
+/// unclaimed indices never run, and a failure nobody waited for is dropped.
+class ClaimLoop {
+ public:
+  ClaimLoop(size_t begin, size_t end, std::function<void(size_t)> body,
+            size_t threads, const char* label);
+  ~ClaimLoop();
+
+  ClaimLoop(const ClaimLoop&) = delete;
+  ClaimLoop& operator=(const ClaimLoop&) = delete;
+
+  /// Lets the workers claim indices below `limit` (clamped to `end`). The
+  /// limit only ever grows; a smaller value is ignored.
+  void Open(size_t limit);
+
+  /// Blocks until every index in [begin, upto) has finished; `upto` must not
+  /// exceed the window limit. Throws as the failure rules above say.
+  void Wait(size_t upto);
+
+ private:
+  void Work();
+  void Fail();
+
+  const size_t begin_;
+  const size_t end_;
+  const std::function<void(size_t)> body_;
+  const char* const label_;
+
+  std::mutex mu_;
+  std::condition_variable claim_cv_;  ///< workers wait here for the window
+  std::condition_variable done_cv_;   ///< Wait waits here for its prefix
+  size_t limit_;                      ///< indices < limit_ may be claimed
+  size_t next_;                       ///< next index to claim
+  size_t done_;                       ///< every index < done_ has finished
+  size_t wait_for_ = 0;               ///< prefix Wait blocks on (0: none)
+  std::vector<bool> finished_;        ///< per index, past the done prefix
+  bool stopped_ = false;  ///< a failure or the destructor ended claims
+  bool failed_ = false;   ///< a body threw or a worker was killed
+  size_t failed_at_ = SIZE_MAX;    ///< lowest index whose body threw
+  std::exception_ptr body_error_;  ///< what it threw
+
+  std::unique_ptr<ThreadPool> pool_;  ///< last: its workers use the above
 };
 
 /// --- ParallelFor ------------------------------------------------------------
 
 /// Runs `body(i)` for every i in [begin, end) across up to `num_threads`
 /// workers (0 = DefaultNumThreads()); returns the worker count actually used.
-/// Indices are claimed dynamically (an atomic cursor), so the *assignment* of
-/// indices to threads is nondeterministic — determinism is the caller's job:
-/// write results into storage addressed by `i` and reduce sequentially
-/// afterwards, and results are bit-for-bit independent of the thread count.
+/// This is a ClaimLoop whose window is the whole range. Indices are claimed
+/// dynamically, so the *assignment* of indices to threads is
+/// nondeterministic — determinism is the caller's job: write results into
+/// storage addressed by `i` and reduce sequentially afterwards, and results
+/// are bit-for-bit independent of the thread count.
 ///
-/// Exceptions thrown by `body` stop further index claims and the first one is
-/// re-thrown on the calling thread after all workers stop. With one thread
-/// (or a single-item range) the body runs inline on the calling thread.
+/// An exception thrown by `body` stops further index claims; once all
+/// workers stop, the one of the lowest failed index is re-thrown on the
+/// calling thread. With one thread (or a single-item range) the body runs
+/// inline on the calling thread.
 ///
-/// `label` names the per-worker trace spans in `--trace` output.
+/// `label` names the coordinator's trace span and the workers' `label` arg.
 size_t ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body,
                    size_t num_threads = 0, const char* label = "parallel_for");
 
-/// ParallelFor with the exception path converted to a typed Status: an
-/// injected fault (failpoint::InjectedFault, e.g. the `threadpool.task`
-/// failpoint killing a worker task) returns the Status it carries, and any
-/// other exception becomes Status::Internal with the exception text. The
-/// pool still drains fully before this returns — no task is left running —
-/// so estimators can abort a wave without leaking workers. On success,
-/// returns the worker count used, like ParallelFor.
+/// The typed Status of the exception being handled; call only inside a catch
+/// block. An injected fault (failpoint::InjectedFault) returns the Status it
+/// carries, and any other exception becomes Status::Internal naming `label`
+/// and the exception text.
+Status CaughtExceptionStatus(const char* label);
+
+/// ParallelFor with the exception path converted by CaughtExceptionStatus
+/// (e.g. the `threadpool.task` failpoint killing a worker task returns the
+/// injected Status). The pool still drains fully before this returns — no
+/// task is left running. On success, returns the worker count used, like
+/// ParallelFor.
 Result<size_t> TryParallelFor(size_t begin, size_t end,
                               const std::function<void(size_t)>& body,
                               size_t num_threads = 0,

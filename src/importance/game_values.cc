@@ -212,23 +212,19 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
   std::vector<double> sum(n, 0.0);
   std::vector<double> sum_sq(n, 0.0);
   size_t evaluations = 2;  // empty + full, evaluated above on this thread
-  // Slot t % kWavePermutations holds permutation t while its wave runs.
-  std::vector<PermutationPartial> wave(
-      std::min(kWavePermutations, options.num_permutations));
 
-  WaveRun run = RunWaves(
+  WaveRun run = RunWaves<PermutationPartial>(
       {.tasks = options.num_permutations,
        .wave_size = kWavePermutations,
        .phase = "tmc_shapley",
        .label = "tmc_wave",
        .alloc_phase = "tmc_wave"},
-      options,
-      [&](size_t t) -> Status {
+      options, {.marginals = std::vector<double>(n)},
+      [&](size_t t, PermutationPartial& out) -> Status {
         // One complete-event per permutation: the trace shows where sampling
         // time goes and how hard truncation is biting, task by task.
         NDE_TRACE_SPAN_VAR(perm_span, "tmc_permutation", "importance");
         telemetry::AllocationScope perm_alloc("tmc_permutation");
-        PermutationPartial& out = wave[t % kWavePermutations];
         out.marginals.assign(n, 0.0);
         out.evaluations = 0;
         Rng rng = seeds.RngFor(t);
@@ -338,10 +334,11 @@ Result<ImportanceEstimate> TmcShapleyValues(const UtilityFunction& utility,
                      static_cast<int64_t>(out.evaluations));
         return failure;
       },
-      [&](size_t wave_begin, size_t wave_end, ProgressUpdate* update) {
+      [&](size_t, size_t wave_end,
+          std::span<const PermutationPartial> partials,
+          ProgressUpdate* update) {
         // Deterministic reduction: fold permutation partials in index order.
-        for (size_t t = wave_begin; t < wave_end; ++t) {
-          const PermutationPartial& partial = wave[t % kWavePermutations];
+        for (const PermutationPartial& partial : partials) {
           for (size_t i = 0; i < n; ++i) {
             double marginal = partial.marginals[i];
             sum[i] += marginal;
@@ -476,28 +473,24 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
 
   size_t num_chunks = (options.num_samples + kChunkSamples - 1) / kChunkSamples;
   size_t executed_samples = 0;
-  // Slot c % kWaveChunks holds chunk c while its wave runs. Workers overwrite
-  // every slot of their chunk's partial, so the buffers are sized once and
-  // reused by every wave.
-  std::vector<ChunkPartial> wave(std::min(kWaveChunks, num_chunks));
-  for (auto& partial : wave) {
-    partial.member.resize(n);
-    partial.in_sum.resize(n);
-    partial.in_sq.resize(n);
-    partial.out_sum.resize(n);
-    partial.out_sq.resize(n);
-  }
+  // Workers overwrite every field of their chunk's partial, so the driver's
+  // slots are sized once and reused by every wave.
+  ChunkPartial blank;
+  blank.member.resize(n);
+  blank.in_sum.resize(n);
+  blank.in_sq.resize(n);
+  blank.out_sum.resize(n);
+  blank.out_sq.resize(n);
 
-  WaveRun run = RunWaves(
+  WaveRun run = RunWaves<ChunkPartial>(
       {.tasks = num_chunks,
        .wave_size = kWaveChunks,
        .phase = "banzhaf",
        .label = "banzhaf_wave",
        .alloc_phase = "banzhaf_wave"},
-      options,
-      [&](size_t c) -> Status {
+      options, blank,
+      [&](size_t c, ChunkPartial& out) -> Status {
         telemetry::AllocationScope chunk_alloc("banzhaf_chunk");
-        ChunkPartial& out = wave[c % kWaveChunks];
         size_t sample_begin = c * kChunkSamples;
         size_t sample_end =
             std::min(sample_begin + kChunkSamples, options.num_samples);
@@ -545,10 +538,11 @@ Result<ImportanceEstimate> BanzhafValues(const UtilityFunction& utility,
         }
         return Status::OK();
       },
-      [&](size_t wave_begin, size_t wave_end, ProgressUpdate* update) {
+      [&](size_t wave_begin, size_t wave_end,
+          std::span<const ChunkPartial> partials, ProgressUpdate* update) {
         // Deterministic reduction: fold chunk partials in index order.
         for (size_t c = wave_begin; c < wave_end; ++c) {
-          const ChunkPartial& partial = wave[c % kWaveChunks];
+          const ChunkPartial& partial = partials[c - wave_begin];
           const size_t samples =
               std::min((c + 1) * kChunkSamples, options.num_samples) -
               c * kChunkSamples;

@@ -156,8 +156,8 @@ Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
   // Validation points are independent; process them as fixed 8-point chunks
   // with one partial sum per chunk, folded in chunk order, so the result is
   // bit-identical for any thread count. Chunks run in fixed 8-chunk waves so
-  // progress and cancellation happen at deterministic boundaries; slot
-  // c % kWaveChunks holds chunk c's buffers while its wave runs.
+  // progress and cancellation happen at deterministic boundaries; a driver
+  // slot holds a chunk's buffers until its wave is folded.
   constexpr size_t kChunkPoints = 8;
   constexpr size_t kWaveChunks = 8;
   size_t num_chunks = (validation.size() + kChunkPoints - 1) / kChunkPoints;
@@ -166,17 +166,15 @@ Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
     std::vector<uint32_t> order;
     OrderScratch scratch;
   };
-  std::vector<Slot> slots(std::min(kWaveChunks, num_chunks));
   std::vector<double> values(n, 0.0);
-  WaveRun run = RunWaves(
+  WaveRun run = RunWaves<Slot>(
       {.tasks = num_chunks,
        .wave_size = kWaveChunks,
        .phase = "knn_shapley",
        .label = "knn_shapley",
        .alloc_phase = "knn_shapley_wave"},
-      options,
-      [&](size_t chunk) -> Status {
-        Slot& slot = slots[chunk % kWaveChunks];
+      options, Slot{},
+      [&](size_t chunk, Slot& slot) -> Status {
         std::vector<double>& partial = slot.partial;
         partial.assign(n, 0.0);
         size_t begin = chunk * kChunkPoints;
@@ -202,10 +200,10 @@ Result<std::vector<double>> KnnShapleyValues(const MlDataset& train,
         }
         return Status::OK();
       },
-      [&](size_t wave_begin, size_t wave_end, ProgressUpdate* update) {
-        for (size_t c = wave_begin; c < wave_end; ++c) {
-          const std::vector<double>& partial = slots[c % kWaveChunks].partial;
-          for (size_t i = 0; i < n; ++i) values[i] += partial[i];
+      [&](size_t, size_t wave_end, std::span<const Slot> slots,
+          ProgressUpdate* update) {
+        for (const Slot& slot : slots) {
+          for (size_t i = 0; i < n; ++i) values[i] += slot.partial[i];
         }
         if (update != nullptr) {
           update->completed =

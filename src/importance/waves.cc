@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/log.h"
 #include "common/parallel.h"
 #include "telemetry/health.h"
@@ -13,15 +14,38 @@
 
 namespace nde {
 
+namespace {
+
+/// Workers of a run: never more than a wave has tasks.
+size_t WaveThreads(const WavePlan& plan, const EstimatorOptions& options) {
+  return PlannedNumThreads(std::min(plan.wave_size, plan.tasks),
+                           options.num_threads);
+}
+
+}  // namespace
+
+size_t WaveRingSize(const WavePlan& plan, const EstimatorOptions& options) {
+  size_t waves = WaveThreads(plan, options) > 1 ? kWavesInFlight : 1;
+  return std::min(waves * plan.wave_size, plan.tasks);
+}
+
 WaveRun RunWaves(const WavePlan& plan, const EstimatorOptions& options,
                  const WaveBody& body, const WaveFold& fold) {
   WaveRun run;
-  // One status slot per task of a wave; every task overwrites its slot.
-  std::vector<Status> errors(std::min(plan.wave_size, plan.tasks));
+  // One status slot per task in flight; task t owns slot t % size until its
+  // wave is scanned, and every task overwrites its slot.
+  std::vector<Status> errors(WaveRingSize(plan, options));
+  const size_t threads = WaveThreads(plan, options);
+  ClaimLoop loop(
+      0, plan.tasks,
+      [&](size_t task) { errors[task % errors.size()] = body(task); },
+      threads, plan.label);
+  int64_t last_wave_us = telemetry::Enabled() ? telemetry::NowMicros() : 0;
   for (size_t wave_begin = 0; wave_begin < plan.tasks;
        wave_begin += plan.wave_size) {
-    // Cancellation is polled here only, on the coordinating thread, so a
-    // cancelled run keeps exactly the waves a smaller budget would have run.
+    // Cancellation is polled here only, on the coordinating thread before
+    // the window moves, so a cancelled run keeps exactly the waves a smaller
+    // budget would have run.
     if (options.cancel != nullptr &&
         options.cancel->load(std::memory_order_relaxed)) {
       run.aborted = true;
@@ -30,32 +54,39 @@ WaveRun RunWaves(const WavePlan& plan, const EstimatorOptions& options,
       break;
     }
     size_t wave_end = std::min(wave_begin + plan.wave_size, plan.tasks);
+    // Run ahead by a wave, except while a failpoint is armed: ordinal
+    // failpoints (#N) count hits in wall-time order, and must see every hit
+    // of a wave before any hit of the next.
+    size_t waves_open = failpoint::AnyArmed() ? 1 : kWavesInFlight;
+    loop.Open(wave_begin + waves_open * plan.wave_size);
     telemetry::AllocationScope wave_alloc(plan.alloc_phase);
-    int64_t wave_start_us = telemetry::Enabled() ? telemetry::NowMicros() : 0;
-    Result<size_t> used = TryParallelFor(
-        wave_begin, wave_end,
-        [&](size_t task) { errors[task - wave_begin] = body(task); },
-        options.num_threads, plan.label);
-    if (!used.ok()) {
+    try {
+      NDE_TRACE_SPAN("wave_wait", "importance");
+      loop.Wait(wave_end);
+    } catch (...) {
       run.aborted = true;
-      run.abort_cause = used.status();
+      run.abort_cause = CaughtExceptionStatus(plan.label);
       break;
     }
-    run.threads_used = std::max(run.threads_used, *used);
+    run.threads_used = threads;
     if (telemetry::Enabled()) {
+      int64_t now_us = telemetry::NowMicros();
       telemetry::MetricsRegistry::Global()
           .GetHistogramWithLabels("estimator.wave_ms",
                                   telemetry::CurrentJobLabels())
-          .Record(static_cast<double>(telemetry::NowMicros() -
-                                      wave_start_us) /
-                  1000.0);
+          .Record(static_cast<double>(now_us - last_wave_us) / 1000.0);
+      last_wave_us = now_us;
     }
+    NDE_TRACE_SPAN_VAR(span, plan.label, "importance");
+    NDE_SPAN_ARG(span, "tasks", static_cast<int64_t>(wave_end - wave_begin));
+    NDE_SPAN_ARG(span, "threads", static_cast<int64_t>(threads));
     // The first error in index order wins, whatever failed first in wall
     // time, so the abort cause is schedule-invariant.
-    for (size_t i = 0; i < wave_end - wave_begin && !run.aborted; ++i) {
-      if (!errors[i].ok()) {
+    for (size_t task = wave_begin; task < wave_end && !run.aborted; ++task) {
+      const Status& error = errors[task % errors.size()];
+      if (!error.ok()) {
         run.aborted = true;
-        run.abort_cause = errors[i];
+        run.abort_cause = error;
       }
     }
     if (run.aborted) break;

@@ -1422,7 +1422,10 @@ TEST(RunWavesTest, FoldReturningTrueStopsTheRun) {
         });
     EXPECT_FALSE(run.aborted) << "threads=" << threads;
     EXPECT_EQ(run.tasks_done, 32u);
-    EXPECT_EQ(bodies.load(), 32u);
+    // Inline, nothing runs past the stop; with workers, at most the one wave
+    // the driver keeps in flight ahead of the fold.
+    EXPECT_GE(bodies.load(), 32u);
+    EXPECT_LE(bodies.load(), threads == 1 ? 32u : 48u);
     EXPECT_EQ(folds, 2u);
   }
 }

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,6 +116,93 @@ TEST(ParallelForTest, PropagatesBodyException) {
                    },
                    4),
                std::runtime_error);
+}
+
+// --- ClaimLoop --------------------------------------------------------------
+
+TEST(ClaimLoopTest, NeverClaimsPastTheWindow) {
+  std::atomic<size_t> highest{0};
+  std::atomic<size_t> ran{0};
+  ClaimLoop loop(
+      0, 40,
+      [&](size_t i) {
+        size_t seen = highest.load();
+        while (i > seen && !highest.compare_exchange_weak(seen, i)) {
+        }
+        ran.fetch_add(1);
+      },
+      4, "window_test");
+  loop.Open(10);
+  loop.Wait(10);
+  // Give idle workers every chance to overrun the window.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(ran.load(), 10u);
+  EXPECT_EQ(highest.load(), 9u);
+  loop.Open(5);  // A smaller limit is ignored.
+  loop.Open(40);
+  loop.Wait(40);
+  EXPECT_EQ(ran.load(), 40u);
+  EXPECT_EQ(highest.load(), 39u);
+}
+
+TEST(ClaimLoopTest, InlineRunsOnTheCallerOnlyUpToTheWait) {
+  std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> ran(12, 0);
+  ClaimLoop loop(
+      0, ran.size(),
+      [&](size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++ran[i];
+      },
+      1, "inline_test");
+  loop.Open(12);
+  loop.Wait(5);
+  EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 5);
+  loop.Wait(12);
+  EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 12);
+}
+
+TEST(ClaimLoopTest, BodyFailurePastThePrefixSurfacesAtItsOwnWait) {
+  for (int rep = 0; rep < 50; ++rep) {
+    ClaimLoop loop(
+        0, 30,
+        [](size_t i) {
+          if (i == 9) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          if (i == 14) throw std::runtime_error("index 14");
+        },
+        4, "deferred_test");
+    loop.Open(30);
+    // Index 14 fails long before index 9 is done, yet the prefix [0, 10)
+    // still completes: claims are in order, and claimed bodies finish.
+    EXPECT_NO_THROW(loop.Wait(10)) << "rep " << rep;
+    EXPECT_THROW(loop.Wait(20), std::runtime_error) << "rep " << rep;
+  }
+}
+
+TEST(ClaimLoopTest, LowestFailedIndexWins) {
+  std::atomic<bool> later_failed{false};
+  ClaimLoop loop(
+      0, 16,
+      [&](size_t i) {
+        if (i == 11) {
+          later_failed.store(true);
+          throw std::runtime_error("index 11");
+        }
+        if (i == 3) {
+          for (int spin = 0; spin < 5000 && !later_failed.load(); ++spin) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          throw std::runtime_error("index 3");
+        }
+      },
+      4, "lowest_test");
+  loop.Open(16);
+  try {
+    loop.Wait(16);
+    ADD_FAILURE() << "Wait did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 3");
+  }
 }
 
 // --- SeedSequence -----------------------------------------------------------

@@ -155,13 +155,17 @@ uint64_t FoldedTotal() {
 /// A utility with enough arithmetic per call that spans last microseconds.
 class SqrtGame : public UtilityFunction {
  public:
+  explicit SqrtGame(int spins = 200) : spins_(spins) {}
   double Evaluate(const std::vector<size_t>& subset) const override {
     double v = 0.0;
     for (size_t i : subset) v += static_cast<double>(i + 1);
-    for (int spin = 0; spin < 200; ++spin) v = std::sqrt(v * v + 1e-9);
+    for (int spin = 0; spin < spins_; ++spin) v = std::sqrt(v * v + 1e-9);
     return std::sqrt(v);
   }
   size_t num_units() const override { return 10; }
+
+ private:
+  int spins_;
 };
 
 TEST_F(ProfilerTest, SelfTimesSumToTopLevelSpanDurationsAtOneAndFourThreads) {
@@ -194,6 +198,47 @@ TEST_F(ProfilerTest, SelfTimesSumToTopLevelSpanDurationsAtOneAndFourThreads) {
     EXPECT_EQ(FoldedTotal(), top_level_us);
     EXPECT_NE(Profiler::Global().FoldedStacks().find("tmc_wave"),
               std::string::npos)
+        << Profiler::Global().FoldedStacks();
+  }
+}
+
+TEST_F(ProfilerTest, WaveWaitKeepsTheFoldSpanToFoldWork) {
+#if !NDE_TELEMETRY_ENABLED
+  GTEST_SKIP() << "estimator spans compile to nothing in this build";
+#endif
+  telemetry::SetEnabled(true);
+  SqrtGame game(2000);  // Permutations cost ~100x the fold.
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    Profiler::Global().Reset();
+    TraceBuffer::Global().Clear();
+    ASSERT_TRUE(Profiler::Global().Start().ok());
+    TmcShapleyOptions options;
+    options.num_permutations = 128;
+    options.seed = 3;
+    options.num_threads = threads;
+    ASSERT_TRUE(TmcShapleyValues(game, options).ok());
+    Profiler::Global().Stop();
+
+    // The coordinator's wait and its fold are sibling spans; the fold span
+    // has no children, so its self time is the fold and nothing else.
+    bool wait_seen = false, fold_seen = false;
+    for (const FoldedStack& folded : Profiler::Global().Folded()) {
+      wait_seen |= folded.stack == "TmcShapleyValues;wave_wait";
+      fold_seen |= folded.stack == "TmcShapleyValues;tmc_wave";
+      EXPECT_EQ(folded.stack.find("tmc_wave;"), std::string::npos)
+          << folded.stack;
+    }
+    EXPECT_TRUE(wait_seen) << Profiler::Global().FoldedStacks();
+    EXPECT_TRUE(fold_seen) << Profiler::Global().FoldedStacks();
+    uint64_t fold_us = 0, permutation_us = 0;
+    for (const FlatFrame& frame : Profiler::Global().Flat()) {
+      if (frame.name == "tmc_wave") fold_us = frame.self;
+      if (frame.name == "tmc_permutation") permutation_us = frame.self;
+    }
+    // Were the wait booked to the fold span, it would hold at least a
+    // quarter of the permutation time at 4 threads.
+    EXPECT_LT(fold_us * 20, permutation_us)
         << Profiler::Global().FoldedStacks();
   }
 }

@@ -740,9 +740,11 @@ export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 export TSAN_OPTIONS="halt_on_error=1"
 
 if [ "$MODE" = "tsan" ]; then
-  # The thread-heavy suites: pool lifecycle, ParallelFor (including the
-  # SubsetCache concurrency hammer), the estimators' cross-thread
-  # determinism contract over the cached/warm-started utilities, the
+  # The thread-heavy suites: pool lifecycle, the claim loop and
+  # ParallelFor (including the SubsetCache concurrency hammer), the
+  # run-ahead wave driver (its window and ring slots cross threads), the
+  # estimators' cross-thread determinism contract over the
+  # cached/warm-started utilities, the
   # registry/job-API serving layer (worker pool + HTTP cancellation), the
   # span profiler (every pool worker's closing spans write its one
   # aggregate), and the generative property suites (thread-sweep and
@@ -751,7 +753,7 @@ if [ "$MODE" = "tsan" ]; then
   # dominate the run.
   NDE_PROP_CASES="${NDE_PROP_CASES:-10}" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-      -R "determinism|parallel|importance|registry|job_api|proptest|profiler"
+      -R "determinism|parallel|importance|waves|registry|job_api|proptest|profiler"
   echo "check.sh: parallel suites passed under TSan"
 else
   # Full suite, including the property label at a reduced generative budget
